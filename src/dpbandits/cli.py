@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -19,13 +20,7 @@ from pathlib import Path
 from .env import BanditInstance
 from .harness import ExperimentResult, ExperimentSpec, run_experiment, write_csv
 from .harness import write_privacy_csv
-from .policies import (
-    DpTsUcbConfig,
-    MTsGaussianConfig,
-    PolicyConfig,
-    TsGaussianConfig,
-    Ucb1Config,
-)
+from .policies import VARIANTS, DpTsUcbConfig, MTsGaussianConfig, PolicyConfig, Variant
 from .privacy import match_c, policy_gdp
 from .verify import BATTERY_CHECKS, McReport, default_battery
 
@@ -36,7 +31,7 @@ class UsageError(Exception):
     """Bad flags, bad config keys, or out-of-domain values; exits with 2."""
 
 
-POLICY_NAMES = ("dp-ts-ucb", "ts-gaussian", "m-ts-gaussian", "ucb1")
+POLICY_NAMES = tuple(VARIANTS)
 
 #: pre-pull counts that performed best in the source experiments, per alpha
 PAPER_BEST_B = {0.0: 1, 1.0: 2000}
@@ -298,25 +293,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def expand_policies(cfg: CliConfig) -> tuple[PolicyConfig, ...]:
     """Expand the policy-name list into concrete configurations.
 
-    dp-ts-ucb yields one entry per alpha.  m-ts-gaussian yields a single
-    entry when both b and c are fixed numbers, otherwise one entry per alpha
-    with b resolved from the source grid ('paper') and c from match_c
-    ('match') or the regret recipe 5 ln^alpha T ('regret').
+    dp-ts-ucb yields one entry per alpha, variants without parameters one
+    entry.  m-ts-gaussian yields one entry when both b and c are fixed numbers,
+    otherwise one per alpha with b from the source grid ('paper') and c from
+    match_c ('match') or the regret recipe 5 ln^alpha T ('regret').
     """
-    out: list[PolicyConfig] = []
+    variants: list[Variant] = []
     for name in cfg.policies:
-        if name == "dp-ts-ucb":
-            out.extend(
-                PolicyConfig(DpTsUcbConfig(alpha), cfg.horizon) for alpha in cfg.alphas
-            )
-        elif name == "ts-gaussian":
-            out.append(PolicyConfig(TsGaussianConfig(), cfg.horizon))
-        elif name == "ucb1":
-            out.append(PolicyConfig(Ucb1Config(), cfg.horizon))
-        elif name == "m-ts-gaussian":
-            if isinstance(cfg.b, int) and isinstance(cfg.c, float):
-                out.append(PolicyConfig(MTsGaussianConfig(cfg.b, cfg.c), cfg.horizon))
-                continue
+        if name == DpTsUcbConfig.name:
+            variants.extend(DpTsUcbConfig(alpha) for alpha in cfg.alphas)
+        elif name != MTsGaussianConfig.name:  # the variants without parameters
+            variants.append(VARIANTS[name]())
+        elif isinstance(cfg.b, int) and isinstance(cfg.c, float):
+            variants.append(MTsGaussianConfig(cfg.b, cfg.c))
+        else:
             for alpha in cfg.alphas:
                 if cfg.b == "paper":
                     if alpha not in PAPER_BEST_B:
@@ -333,8 +323,17 @@ def expand_policies(cfg: CliConfig) -> tuple[PolicyConfig, ...]:
                     c = 5.0 * math.log(cfg.horizon) ** alpha
                 else:
                     c = cfg.c
-                out.append(PolicyConfig(MTsGaussianConfig(b, c), cfg.horizon))
-    return tuple(out)
+                variants.append(MTsGaussianConfig(b, c))
+    return tuple(PolicyConfig(v, cfg.horizon) for v in variants)
+
+
+@contextlib.contextmanager
+def _library_rejections_are_usage_errors():
+    """Settings the library rejects while the CLI builds from them are usage errors."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _summary_text(result: ExperimentResult) -> str:
@@ -356,13 +355,14 @@ def _summary_text(result: ExperimentResult) -> str:
 
 
 def _cmd_run(cfg: CliConfig) -> int:
-    spec = ExperimentSpec(
-        instance=BanditInstance(cfg.means),
-        policies=expand_policies(cfg),
-        horizon=cfg.horizon,
-        n_runs=cfg.runs,
-        base_seed=cfg.seed,
-    )
+    with _library_rejections_are_usage_errors():
+        spec = ExperimentSpec(
+            instance=BanditInstance(cfg.means),
+            policies=expand_policies(cfg),
+            horizon=cfg.horizon,
+            n_runs=cfg.runs,
+            base_seed=cfg.seed,
+        )
     result = run_experiment(spec, workers=cfg.workers)
     write_csv(result, cfg.out, cfg.eps_grid)
     summary = _summary_text(result)
@@ -393,7 +393,8 @@ def _cmd_verify(cfg: CliConfig) -> int:
 
 
 def _cmd_privacy(cfg: CliConfig) -> int:
-    policies = expand_policies(cfg)
+    with _library_rejections_are_usage_errors():
+        policies = expand_policies(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = write_privacy_csv(policies, out / "privacy.csv", cfg.eps_grid)
@@ -419,9 +420,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_verify(cfg)
         return _cmd_privacy(cfg)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # out-of-domain values caught by the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

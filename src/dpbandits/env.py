@@ -9,15 +9,10 @@ import numpy as np
 __all__ = [
     "BanditInstance",
     "Purpose",
-    "RewardFamily",
     "RngStream",
     "gaps",
     "sample_reward",
 ]
-
-
-class RewardFamily(enum.Enum):
-    BERNOULLI = "bernoulli"
 
 
 class Purpose(enum.IntEnum):
@@ -63,10 +58,9 @@ class RngStream:
 
 @dataclass(frozen=True)
 class BanditInstance:
-    """A stationary K-armed instance with reward means in [0, 1]."""
+    """A stationary K-armed instance with Bernoulli rewards, means in [0, 1]."""
 
     means: tuple[float, ...]
-    family: RewardFamily = RewardFamily.BERNOULLI
 
     def __post_init__(self) -> None:
         means = tuple(float(m) for m in self.means)
@@ -74,8 +68,6 @@ class BanditInstance:
             raise ValueError("an instance needs at least one arm")
         if any(not 0.0 <= m <= 1.0 for m in means):  # also rejects NaN
             raise ValueError(f"arm means must lie in [0, 1], got {means}")
-        if not isinstance(self.family, RewardFamily):
-            raise ValueError(f"unknown reward family: {self.family!r}")
         object.__setattr__(self, "means", means)
 
     @property
@@ -92,17 +84,9 @@ def gaps(instance: BanditInstance) -> np.ndarray:
 def sample_reward(
     instance: BanditInstance,
     arm: int,
-    stream: RngStream | np.random.Generator,
+    rng: np.random.Generator,
 ) -> float:
-    """One lazy reward draw for `arm`.
-
-    Passing an RngStream is pure (the value depends only on (instance, arm,
-    stream)); passing a Generator draws from it statefully, which is what the
-    harness does in its round loop.
-    """
+    """One Bernoulli reward for `arm`, drawn statefully from `rng`."""
     if not 0 <= arm < instance.n_arms:
         raise IndexError(f"arm {arm} out of range for {instance.n_arms} arms")
-    if instance.family is not RewardFamily.BERNOULLI:
-        raise NotImplementedError(f"unsupported reward family: {instance.family}")
-    rng = stream.generator() if isinstance(stream, RngStream) else stream
     return 1.0 if rng.random() < instance.means[arm] else 0.0

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import BanditInstance, Purpose, RngStream, gaps, sample_reward
-from .policies import DpTsUcbConfig, Policy, PolicyConfig, make_policy
+from .policies import Policy, PolicyConfig, make_policy
 from .privacy import gdp_to_dp, policy_gdp
 
 __all__ = [
@@ -242,9 +242,8 @@ def write_privacy_csv(
         eta = policy_gdp(cfg)
         if eta is None:
             continue
-        alpha = (
-            _fmt(cfg.variant.alpha) if isinstance(cfg.variant, DpTsUcbConfig) else ""
-        )
+        alpha = getattr(cfg.variant, "alpha", None)  # only dp-ts-ucb takes one
+        alpha = "" if alpha is None else _fmt(alpha)
         for eps in eps_grid:
             point = gdp_to_dp(eta, eps)
             rows.append(

@@ -10,8 +10,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
+
+from .privacy import (
+    BUDGET_SCALE,
+    MIN_HORIZON,
+    GdpParam,
+    _check_alpha,
+    _check_b,
+    _check_c,
+    _check_horizon,
+    eta_dp_ts_ucb,
+    eta_m_ts_gaussian,
+    eta_ts_gaussian,
+)
 
 __all__ = [
     "ArmState",
@@ -25,29 +39,11 @@ __all__ = [
     "TsGaussianConfig",
     "Ucb1Config",
     "Ucb1Policy",
+    "VARIANTS",
+    "Variant",
     "make_policy",
     "phi_budget",
 ]
-
-#: Multiplier in the per-epoch sampling budget, sqrt(2 pi e).  Also the base
-#: of the matched noise-level formulas in `privacy`.
-BUDGET_SCALE = math.sqrt(2.0 * math.pi * math.e)
-
-#: Smallest usable horizon: ln(T) must exceed 3 for the budget/noise formulas.
-MIN_HORIZON = 21
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
-
-
-def _check_horizon(horizon: int, minimum: int = MIN_HORIZON) -> int:
-    if horizon != int(horizon) or int(horizon) < minimum:
-        raise ValueError(f"horizon must be an integer >= {minimum}, got {horizon}")
-    return int(horizon)
 
 
 def phi_budget(alpha: float, horizon: int) -> int:
@@ -67,30 +63,66 @@ def phi_budget(alpha: float, horizon: int) -> int:
 # configuration
 
 
-@dataclass(frozen=True)
-class DpTsUcbConfig:
-    """Budgeted Gaussian Thompson sampling with UCB reuse.
+class Variant:
+    """A policy variant: its name and CSV label, the horizons it accepts, its
+    initialization rounds, its closed-form guarantee and its factory, which
+    passes `rng` on unchanged.  A new policy is one more subclass in VARIANTS."""
 
-    zero_max_reset switches the epoch max-model reset value from -inf to the
-    literal 0.0 for comparison runs; with rewards in [0, 1] the zero floor can
-    only inflate the reused index.
-    """
+    name: ClassVar[str]
+    min_horizon: ClassVar[int] = 1
+
+    def label(self) -> str:
+        return self.name
+
+    def init_rounds(self, n_arms: int) -> int:
+        """Rounds consumed by the forced round-robin initialization."""
+        return n_arms
+
+    def gdp(self, horizon: int) -> GdpParam | None:
+        """The Gaussian guarantee over the horizon; None claims none."""
+        return None
+
+    def build(self, n_arms: int, horizon: int, rng: np.random.Generator) -> Policy:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class DpTsUcbConfig(Variant):
+    """Budgeted Gaussian Thompson sampling with UCB reuse."""
 
     alpha: float
-    zero_max_reset: bool = False
 
     name = "dp-ts-ucb"
+    min_horizon = MIN_HORIZON
+
+    def __post_init__(self) -> None:
+        _check_alpha(self.alpha)
+
+    def label(self) -> str:
+        return f"dp-ts-ucb(alpha={self.alpha:g})"
+
+    def gdp(self, horizon: int) -> GdpParam:
+        return eta_dp_ts_ucb(self.alpha, horizon)
+
+    def build(self, n_arms: int, horizon: int, rng: np.random.Generator) -> Policy:
+        return DpTsUcbPolicy(n_arms, horizon, self.alpha, rng)
 
 
 @dataclass(frozen=True)
-class TsGaussianConfig:
+class TsGaussianConfig(Variant):
     """Plain Gaussian Thompson sampling, theta_i ~ Normal(mu_hat_i, 1/n_i)."""
 
     name = "ts-gaussian"
 
+    def gdp(self, horizon: int) -> GdpParam:
+        return eta_ts_gaussian(horizon)
+
+    def build(self, n_arms: int, horizon: int, rng: np.random.Generator) -> Policy:
+        return GaussianThompsonPolicy(n_arms, rng, b=0, c=1.0)
+
 
 @dataclass(frozen=True)
-class MTsGaussianConfig:
+class MTsGaussianConfig(Variant):
     """Gaussian Thompson sampling with b extra pre-pulls per arm and model
     variance c/n_i."""
 
@@ -99,51 +131,56 @@ class MTsGaussianConfig:
 
     name = "m-ts-gaussian"
 
+    def __post_init__(self) -> None:
+        _check_b(self.b)
+        _check_c(self.c)
+
+    def label(self) -> str:
+        return f"m-ts-gaussian(b={self.b};c={self.c:.6g})"
+
+    def init_rounds(self, n_arms: int) -> int:
+        return (self.b + 1) * n_arms
+
+    def gdp(self, horizon: int) -> GdpParam:
+        return eta_m_ts_gaussian(horizon, self.b, self.c)
+
+    def build(self, n_arms: int, horizon: int, rng: np.random.Generator) -> Policy:
+        return GaussianThompsonPolicy(n_arms, rng, b=self.b, c=self.c)
+
 
 @dataclass(frozen=True)
-class Ucb1Config:
+class Ucb1Config(Variant):
     """Deterministic UCB1 index policy, mu_hat_i + sqrt(2 ln t / n_i)."""
 
     name = "ucb1"
 
+    def build(self, n_arms: int, horizon: int, rng: np.random.Generator) -> Policy:
+        return Ucb1Policy(n_arms)
 
-PolicyVariant = DpTsUcbConfig | TsGaussianConfig | MTsGaussianConfig | Ucb1Config
+
+#: Every policy variant by name, in the order the command line lists them.
+VARIANTS: dict[str, type[Variant]] = {
+    v.name: v for v in (DpTsUcbConfig, TsGaussianConfig, MTsGaussianConfig, Ucb1Config)
+}
 
 
 @dataclass(frozen=True)
 class PolicyConfig:
     """A policy variant pinned to the horizon it will be run for."""
 
-    variant: PolicyVariant
+    variant: Variant
     horizon: int
 
     def __post_init__(self) -> None:
-        v = self.variant
-        if isinstance(v, DpTsUcbConfig):
-            _check_alpha(v.alpha)
-            _check_horizon(self.horizon)
-        elif isinstance(v, MTsGaussianConfig):
-            if v.b != int(v.b) or v.b < 0:
-                raise ValueError(f"b must be a non-negative integer, got {v.b}")
-            if not (math.isfinite(v.c) and v.c > 0):
-                raise ValueError(f"c must be positive and finite, got {v.c}")
-            _check_horizon(self.horizon, minimum=1)
-        elif isinstance(v, (TsGaussianConfig, Ucb1Config)):
-            _check_horizon(self.horizon, minimum=1)
-        else:
-            raise ValueError(f"unknown policy variant: {v!r}")
-
-    def init_rounds(self, n_arms: int) -> int:
-        """Rounds consumed by the forced round-robin initialization."""
-        if isinstance(self.variant, MTsGaussianConfig):
-            return (self.variant.b + 1) * n_arms
-        return n_arms
+        if type(self.variant) not in VARIANTS.values():
+            raise ValueError(f"unknown policy variant: {self.variant!r}")
+        _check_horizon(self.horizon, self.variant.min_horizon)
 
     def validate_for(self, n_arms: int) -> None:
         """Check instance-dependent preconditions (initialization must fit)."""
         if n_arms < 1:
             raise ValueError("need at least one arm")
-        need = self.init_rounds(n_arms)
+        need = self.variant.init_rounds(n_arms)
         if need > self.horizon:
             raise ValueError(
                 f"{self.label()} needs {need} initialization rounds "
@@ -152,12 +189,7 @@ class PolicyConfig:
 
     def label(self) -> str:
         """Stable human-readable id used in CSV output (never contains commas)."""
-        v = self.variant
-        if isinstance(v, DpTsUcbConfig):
-            return f"dp-ts-ucb(alpha={v.alpha:g})"
-        if isinstance(v, MTsGaussianConfig):
-            return f"m-ts-gaussian(b={v.b};c={v.c:.6g})"
-        return v.name
+        return self.variant.label()
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +246,6 @@ class DpTsUcbPolicy(Policy):
         horizon: int,
         alpha: float,
         rng: np.random.Generator,
-        zero_max_reset: bool = False,
     ) -> None:
         self.n_arms = int(n_arms)
         self.horizon = _check_horizon(horizon)
@@ -223,7 +254,6 @@ class DpTsUcbPolicy(Policy):
         self._rng = rng
         # ln(T)^alpha is fixed for the whole run; evaluate it once.
         self._ln_pow = math.log(float(horizon)) ** self.alpha
-        self._reset_value = 0.0 if zero_max_reset else -math.inf
         k = self.n_arms
         self._init_cursor = 0
         self._n = np.ones(k, dtype=np.int64)
@@ -232,7 +262,7 @@ class DpTsUcbPolicy(Policy):
         self._epoch = np.ones(k, dtype=np.int64)
         self._unprocessed = np.zeros(k, dtype=np.int64)
         self._budget = np.full(k, self.phi, dtype=np.int64)
-        self._max_model = np.full(k, self._reset_value, dtype=np.float64)
+        self._max_model = np.full(k, -math.inf, dtype=np.float64)
         self._pending = np.zeros(k, dtype=np.float64)
 
     def arm_state(self, arm: int) -> ArmState:
@@ -292,7 +322,7 @@ class DpTsUcbPolicy(Policy):
             self._n[arm] = size
             self._scale[arm] = math.sqrt(self._ln_pow / size)
             self._budget[arm] = self.phi
-            self._max_model[arm] = self._reset_value
+            self._max_model[arm] = -math.inf
             self._pending[arm] = 0.0
             self._unprocessed[arm] = 0
             self._epoch[arm] += 1
@@ -355,15 +385,4 @@ class Ucb1Policy(Policy):
 def make_policy(config: PolicyConfig, n_arms: int, rng: np.random.Generator) -> Policy:
     """Instantiate the policy described by `config` for an n_arms instance."""
     config.validate_for(n_arms)
-    v = config.variant
-    if isinstance(v, DpTsUcbConfig):
-        return DpTsUcbPolicy(
-            n_arms, config.horizon, v.alpha, rng, zero_max_reset=v.zero_max_reset
-        )
-    if isinstance(v, TsGaussianConfig):
-        return GaussianThompsonPolicy(n_arms, rng, b=0, c=1.0)
-    if isinstance(v, MTsGaussianConfig):
-        return GaussianThompsonPolicy(n_arms, rng, b=v.b, c=v.c)
-    if isinstance(v, Ucb1Config):
-        return Ucb1Policy(n_arms)
-    raise ValueError(f"unknown policy variant: {v!r}")
+    return config.variant.build(n_arms, config.horizon, rng)

@@ -9,20 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import special
 
-from .policies import (
-    BUDGET_SCALE,
-    DpTsUcbConfig,
-    MTsGaussianConfig,
-    PolicyConfig,
-    TsGaussianConfig,
-    Ucb1Config,
-    _check_alpha,
-    _check_horizon,
-)
+if TYPE_CHECKING:
+    from .policies import PolicyConfig
 
 __all__ = [
     "DpPoint",
@@ -42,6 +35,36 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+#: Multiplier in the per-epoch sampling budget, sqrt(2 pi e), and the base of
+#: the matched noise-level formulas below.
+BUDGET_SCALE = math.sqrt(2.0 * math.pi * math.e)
+
+#: Smallest usable horizon: ln(T) must exceed 3 for the budget/noise formulas.
+MIN_HORIZON = 21
+
+
+def _check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return alpha
+
+
+def _check_horizon(horizon: int, minimum: int = MIN_HORIZON) -> int:
+    if horizon != int(horizon) or int(horizon) < minimum:
+        raise ValueError(f"horizon must be an integer >= {minimum}, got {horizon}")
+    return int(horizon)
+
+
+def _check_b(b: int) -> None:
+    if b != int(b) or b < 0:
+        raise ValueError(f"b must be a non-negative integer, got {b}")
+
+
+def _check_c(c: float) -> None:
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be positive and finite, got {c}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +280,8 @@ def eta_ts_gaussian(horizon: int) -> GdpParam:
 def eta_m_ts_gaussian(horizon: int, b: int, c: float) -> GdpParam:
     """Pre-pulled Gaussian Thompson sampling: eta = sqrt(T / (c (b+1)))."""
     T = float(_check_horizon(horizon, minimum=1))
-    if b != int(b) or b < 0:
-        raise ValueError(f"b must be a non-negative integer, got {b}")
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"c must be positive and finite, got {c}")
+    _check_b(b)
+    _check_c(c)
     return GdpParam(math.sqrt(T / (c * (b + 1))))
 
 
@@ -275,8 +296,7 @@ def match_c(alpha: float, horizon: int, b: int) -> float:
     """
     alpha = _check_alpha(alpha)
     T = float(_check_horizon(horizon))
-    if b != int(b) or b < 0:
-        raise ValueError(f"b must be a non-negative integer, got {b}")
+    _check_b(b)
     return T ** (0.5 * (1.0 + alpha)) / (
         2.0 * BUDGET_SCALE * (b + 1) * math.log(T) ** (1.5 * (1.0 - alpha))
     )
@@ -285,13 +305,4 @@ def match_c(alpha: float, horizon: int, b: int) -> float:
 def policy_gdp(config: PolicyConfig) -> GdpParam | None:
     """The Gaussian guarantee a policy configuration carries over its horizon;
     None for UCB1, whose deterministic index offers no such guarantee."""
-    v = config.variant
-    if isinstance(v, DpTsUcbConfig):
-        return eta_dp_ts_ucb(v.alpha, config.horizon)
-    if isinstance(v, TsGaussianConfig):
-        return eta_ts_gaussian(config.horizon)
-    if isinstance(v, MTsGaussianConfig):
-        return eta_m_ts_gaussian(config.horizon, v.b, v.c)
-    if isinstance(v, Ucb1Config):
-        return None
-    raise ValueError(f"unknown policy variant: {v!r}")
+    return config.variant.gdp(config.horizon)

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import Purpose, RngStream
-from .policies import _check_alpha, _check_horizon, phi_budget
-from .privacy import std_normal_cdf, std_normal_quantile
+from .policies import phi_budget
+from .privacy import _check_alpha, _check_horizon, std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "MIN_TRIALS",
     "McReport",
     "check_gaussian_tail_facts",
-    "check_log_inequality",
     "default_battery",
     "inverse_prob_threshold",
     "log_inequality_margin",
@@ -33,6 +32,8 @@ __all__ = [
 ]
 
 MIN_TRIALS = 10**4
+
+_TRIAL_STREAM = RngStream(0, (Purpose.TRIAL,))
 
 BATTERY_CHECKS = ("boost", "inverse-prob", "gaussian-facts", "log-inequality", "hoeffding")
 
@@ -66,14 +67,6 @@ def _report(name: str, estimate: float, trials: int, se: float, bound: float,
                     direction, bool(passed))
 
 
-def _generator(stream) -> np.random.Generator:
-    if isinstance(stream, np.random.Generator):
-        return stream
-    if isinstance(stream, RngStream):
-        return stream.generator()
-    return RngStream(int(stream), (Purpose.TRIAL,)).generator()
-
-
 def _check_trials(trials: int) -> int:
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
@@ -81,7 +74,7 @@ def _check_trials(trials: int) -> int:
 
 
 def mc_max_boost(alpha: float, horizon: int, s: int, mu: float, trials: int,
-                 stream=0) -> McReport:
+                 stream: RngStream = _TRIAL_STREAM) -> McReport:
     """Failure frequency of {max of phi fresh Gaussian models < mu}.
 
     Each trial draws mu_hat as the mean of s Bernoulli(mu) rewards and then
@@ -100,7 +93,7 @@ def mc_max_boost(alpha: float, horizon: int, s: int, mu: float, trials: int,
         raise ValueError(f"s must be a positive integer, got {s}")
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    rng = _generator(stream)
+    rng = stream.generator()
     phi = phi_budget(alpha, horizon)
     sigma = math.sqrt(math.log(horizon) ** alpha / s)
     mu_hat = rng.binomial(int(s), mu, size=trials) / s
@@ -133,7 +126,8 @@ def inverse_prob_threshold(alpha: float, horizon: int, gap: float) -> int:
 
 
 def mc_inverse_prob(alpha: float, horizon: int, s: int, mu1: float, gap: float,
-                    trials: int, shifted: bool, stream=0) -> McReport:
+                    trials: int, shifted: bool,
+                    stream: RngStream = _TRIAL_STREAM) -> McReport:
     """Estimates E[1/P - 1] where P is the analytic chance that one fresh
     Gaussian model clears the target.
 
@@ -155,7 +149,7 @@ def mc_inverse_prob(alpha: float, horizon: int, s: int, mu1: float, gap: float,
         raise ValueError(f"gap must lie in (0, 1), got {gap}")
     if horizon * gap * gap <= math.e:
         raise ValueError(f"need T * gap^2 > e, got {horizon * gap * gap}")
-    rng = _generator(stream)
+    rng = stream.generator()
     sigma = math.sqrt(math.log(horizon) ** alpha / s)
     mu_hat = rng.binomial(int(s), mu1, size=trials) / s
     target = mu1 - 0.5 * gap if shifted else mu1
@@ -203,12 +197,8 @@ def log_inequality_margin(horizons=(25, 10**3, 10**6),
     return worst
 
 
-def check_log_inequality(horizons=(25, 10**3, 10**6),
-                         alphas=(0.0, 0.25, 0.5, 0.75, 1.0)) -> bool:
-    return log_inequality_margin(horizons, alphas) <= 0.0
-
-
-def mc_hoeffding(n: int, a: float, mu: float, trials: int, stream=0) -> McReport:
+def mc_hoeffding(n: int, a: float, mu: float, trials: int,
+                 stream: RngStream = _TRIAL_STREAM) -> McReport:
     """Frequency of |mean of n Bernoulli(mu) - mu| >= a against the two-sided
     Hoeffding bound 2 exp(-2 n a^2)."""
     trials = _check_trials(trials)
@@ -218,7 +208,7 @@ def mc_hoeffding(n: int, a: float, mu: float, trials: int, stream=0) -> McReport
         raise ValueError(f"a must lie in (0, 1), got {a}")
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    rng = _generator(stream)
+    rng = stream.generator()
     means = rng.binomial(int(n), mu, size=trials) / n
     estimate = float(np.mean(np.abs(means - mu) >= a))
     se = math.sqrt(estimate * (1.0 - estimate) / trials)

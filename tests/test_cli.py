@@ -307,7 +307,20 @@ def test_io_errors_exit_three(tmp_path, capsys):
 def test_library_domain_errors_exit_two(capsys):
     # T below the budgeted policy's minimum horizon surfaces as usage, not a crash
     assert main(["run", "--T", "5", "--runs", "1"]) == 2
-    capsys.readouterr()
+    assert main(["privacy", "--T", "5"]) == 2
+    assert main(["run", "--means", "0.5,1.5", "--T", "100", "--runs", "1"]) == 2
+    # fig5's b=2000 round-robin needs T >= 2001 * 5 rounds
+    assert main(["run", "--preset", "paper-fig5", "--T", "10000", "--runs", "1"]) == 2
+    assert "initialization rounds" in capsys.readouterr().err
+
+
+def test_value_errors_from_inside_the_library_propagate(monkeypatch):
+    def broken(spec, workers=None):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("dpbandits.cli.run_experiment", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["run", "--T", "100", "--runs", "1"])
 
 
 def test_cli_config_is_frozen():

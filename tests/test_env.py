@@ -4,7 +4,6 @@ import pytest
 from dpbandits.env import (
     BanditInstance,
     Purpose,
-    RewardFamily,
     RngStream,
     gaps,
     sample_reward,
@@ -55,7 +54,6 @@ def test_purpose_tags_are_stable():
 def test_instance_validation():
     inst = BanditInstance((0.95, 0.75, 0.55))
     assert inst.n_arms == 3
-    assert inst.family is RewardFamily.BERNOULLI
     with pytest.raises(ValueError):
         BanditInstance(())
     with pytest.raises(ValueError):
@@ -64,8 +62,6 @@ def test_instance_validation():
         BanditInstance((-0.01,))
     with pytest.raises(ValueError):
         BanditInstance((float("nan"),))
-    with pytest.raises(ValueError):
-        BanditInstance((0.5,), family="bernoulli")
 
 
 def test_means_are_coerced_to_a_float_tuple():
@@ -89,12 +85,6 @@ def test_sample_reward_bounds_and_degenerate_means():
         sample_reward(inst, 2, rng)
     with pytest.raises(IndexError):
         sample_reward(inst, -1, rng)
-
-
-def test_sample_reward_with_a_stream_is_pure():
-    inst = BanditInstance((0.6,))
-    s = RngStream(11, (3,))
-    assert sample_reward(inst, 0, s) == sample_reward(inst, 0, s)
 
 
 def test_sample_reward_with_a_generator_is_stateful():

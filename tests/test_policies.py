@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from dpbandits.cli import expand_policies, parse_config
 from dpbandits.env import RngStream
 from dpbandits.policies import (
     BUDGET_SCALE,
+    VARIANTS,
     DpTsUcbConfig,
     DpTsUcbPolicy,
     GaussianThompsonPolicy,
@@ -17,6 +19,7 @@ from dpbandits.policies import (
     make_policy,
     phi_budget,
 )
+from dpbandits.privacy import policy_gdp
 
 
 def test_budget_scale_constant():
@@ -47,29 +50,14 @@ def test_phi_budget_rejects_bad_arguments():
 
 
 def test_policy_config_validation():
-    PolicyConfig(DpTsUcbConfig(alpha=0.0), horizon=21)
-    with pytest.raises(ValueError):
-        PolicyConfig(DpTsUcbConfig(alpha=1.5), horizon=1000)
-    with pytest.raises(ValueError):
-        PolicyConfig(DpTsUcbConfig(alpha=0.5), horizon=20)
-    PolicyConfig(TsGaussianConfig(), horizon=1)
-    with pytest.raises(ValueError):
-        PolicyConfig(TsGaussianConfig(), horizon=0)
-    with pytest.raises(ValueError):
-        PolicyConfig(MTsGaussianConfig(b=-1, c=1.0), horizon=100)
-    with pytest.raises(ValueError):
-        PolicyConfig(MTsGaussianConfig(b=2.5, c=1.0), horizon=100)
-    with pytest.raises(ValueError):
-        PolicyConfig(MTsGaussianConfig(b=0, c=0.0), horizon=100)
-    with pytest.raises(ValueError):
-        PolicyConfig(MTsGaussianConfig(b=0, c=math.inf), horizon=100)
+    # each variant's own parameter and horizon checks run in test_variant_table
     with pytest.raises(ValueError):
         PolicyConfig(variant="nope", horizon=100)
 
 
 def test_init_rounds_and_validate_for():
-    assert PolicyConfig(DpTsUcbConfig(0.0), 1000).init_rounds(5) == 5
-    assert PolicyConfig(MTsGaussianConfig(b=3, c=1.0), 1000).init_rounds(5) == 20
+    assert DpTsUcbConfig(0.0).init_rounds(5) == 5
+    assert MTsGaussianConfig(b=3, c=1.0).init_rounds(5) == 20
     with pytest.raises(ValueError):
         PolicyConfig(MTsGaussianConfig(b=100, c=1.0), 50).validate_for(2)
     with pytest.raises(ValueError):
@@ -95,9 +83,9 @@ def test_labels_are_stable_and_comma_free():
 # DpTsUcbPolicy epoch mechanics (K=2, T=21, alpha=1 keeps phi at 13)
 
 
-def _fresh_dp_policy(seed=5, **kwargs):
+def _fresh_dp_policy(seed=5):
     rng = RngStream(seed).generator()
-    return DpTsUcbPolicy(2, 21, 1.0, rng, **kwargs)
+    return DpTsUcbPolicy(2, 21, 1.0, rng)
 
 
 def test_dp_policy_initial_state():
@@ -238,16 +226,6 @@ def test_exhausted_budgets_reuse_the_epoch_max_without_touching_the_rng():
     assert policy._rng.random() == twin.random()
 
 
-def test_zero_max_reset_floors_the_reused_index_at_zero():
-    policy = _fresh_dp_policy(zero_max_reset=True)
-    assert policy.arm_state(0).max_model == 0.0
-    policy.update(0, 1.0)
-    policy.update(1, 0.0)
-    policy.update(0, 1.0)
-    policy.update(0, 1.0)  # close epoch 1
-    assert policy.arm_state(0).max_model == 0.0
-
-
 def test_epoch_close_shrinks_the_model_scale():
     policy = _fresh_dp_policy()
     policy.update(0, 1.0)
@@ -332,16 +310,52 @@ def test_ucb1_breaks_ties_toward_the_lowest_arm():
     assert policy.select(4) == 0
 
 
-def test_make_policy_dispatch():
+# ---------------------------------------------------------------------------
+# the variant table
+
+#: per variant: the instance `--alpha 0.5 --b 3 --c 2.5` expands to, its
+#: initialization rounds on 5 arms, the policy class and attributes its factory
+#: builds, and constructions that must be rejected.  A variant added to
+#: VARIANTS without a case here fails test_variant_table.
+VARIANT_CASES = {
+    "dp-ts-ucb": (
+        DpTsUcbConfig(0.5), 5, DpTsUcbPolicy, {"alpha": 0.5, "horizon": 1000},
+        [lambda: DpTsUcbConfig(1.5), lambda: DpTsUcbConfig(-0.1),
+         lambda: DpTsUcbConfig(math.nan)],
+    ),
+    "ts-gaussian": (TsGaussianConfig(), 5, GaussianThompsonPolicy, {"b": 0, "c": 1.0}, []),
+    "m-ts-gaussian": (
+        MTsGaussianConfig(3, 2.5), 20, GaussianThompsonPolicy, {"b": 3, "c": 2.5},
+        [lambda: MTsGaussianConfig(-1, 1.0), lambda: MTsGaussianConfig(2.5, 1.0),
+         lambda: MTsGaussianConfig(0, 0.0), lambda: MTsGaussianConfig(0, math.inf)],
+    ),
+    "ucb1": (Ucb1Config(), 5, Ucb1Policy, {"n_arms": 5}, []),
+}
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_variant_table(name):
+    variant, init, policy_class, attributes, invalid = VARIANT_CASES[name]
+    assert type(variant) is VARIANTS[name] and variant.name == name
+    cli = parse_config(["privacy", "--policies", name, "--alpha", "0.5",
+                        "--b", "3", "--c", "2.5", "--T", "1000"])
+    assert cli.policies == (name,)
+    assert [p.variant for p in expand_policies(cli)] == [variant]
+    config = PolicyConfig(variant, 1000)
+    assert config.label().startswith(name) and "," not in config.label()
+    assert variant.init_rounds(5) == init
     rng = RngStream(0).generator()
-    dp = make_policy(PolicyConfig(DpTsUcbConfig(0.5, zero_max_reset=True), 100), 2, rng)
-    assert isinstance(dp, DpTsUcbPolicy)
-    assert dp._reset_value == 0.0
-    ts = make_policy(PolicyConfig(TsGaussianConfig(), 100), 2, rng)
-    assert isinstance(ts, GaussianThompsonPolicy)
-    assert (ts.b, ts.c) == (0, 1.0)
-    mts = make_policy(PolicyConfig(MTsGaussianConfig(b=3, c=2.5), 100), 2, rng)
-    assert (mts.b, mts.c) == (3, 2.5)
-    assert isinstance(make_policy(PolicyConfig(Ucb1Config(), 100), 2, rng), Ucb1Policy)
+    policy = make_policy(config, 5, rng)
+    assert type(policy) is policy_class
+    assert {k: getattr(policy, k) for k in attributes} == attributes
+    assert getattr(policy, "_rng", rng) is rng  # the factory passes rng on unchanged
+    assert (policy_gdp(config) is None) == (name == "ucb1")
+    PolicyConfig(variant, variant.min_horizon)
+    for horizon in (0, variant.min_horizon - 1, 10.5):
+        with pytest.raises(ValueError):
+            PolicyConfig(variant, horizon)
     with pytest.raises(ValueError):
-        make_policy(PolicyConfig(MTsGaussianConfig(b=60, c=1.0), 100), 2, rng)
+        make_policy(config, 0, rng)  # no arms
+    for build in invalid:
+        with pytest.raises(ValueError):
+            build()

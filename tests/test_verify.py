@@ -10,7 +10,6 @@ from dpbandits.verify import (
     MIN_TRIALS,
     McReport,
     check_gaussian_tail_facts,
-    check_log_inequality,
     default_battery,
     inverse_prob_threshold,
     log_inequality_margin,
@@ -20,12 +19,16 @@ from dpbandits.verify import (
 )
 
 
+def _trials(seed: int) -> RngStream:
+    return RngStream(seed, (Purpose.TRIAL,))
+
+
 def test_min_trials_constant():
     assert MIN_TRIALS == 10**4
 
 
 def test_reports_grant_a_three_sigma_allowance():
-    good = mc_hoeffding(10, 0.3, 0.5, MIN_TRIALS, stream=0)
+    good = mc_hoeffding(10, 0.3, 0.5, MIN_TRIALS, stream=_trials(0))
     assert isinstance(good, McReport)
     assert good.direction == "le"
     assert good.passed == (good.estimate <= good.bound + 3.0 * good.mc_std_err)
@@ -45,21 +48,13 @@ def test_mc_max_boost_validation():
 
 
 def test_mc_max_boost_report_fields_and_determinism():
-    a = mc_max_boost(1.0, 10**4, 4, 0.95, MIN_TRIALS, stream=7)
-    b = mc_max_boost(1.0, 10**4, 4, 0.95, MIN_TRIALS, stream=7)
+    a = mc_max_boost(1.0, 10**4, 4, 0.95, MIN_TRIALS, stream=_trials(7))
+    b = mc_max_boost(1.0, 10**4, 4, 0.95, MIN_TRIALS, stream=_trials(7))
     assert a == b
     assert a.name == "boost(alpha=1,T=10000,s=4)"
     assert a.bound == 3.0 / 10**4
     assert a.trials == MIN_TRIALS
     assert a.passed
-
-
-def test_mc_max_boost_accepts_equivalent_stream_spellings():
-    by_int = mc_max_boost(1.0, 10**3, 1, 0.9, MIN_TRIALS, stream=5)
-    by_stream = mc_max_boost(
-        1.0, 10**3, 1, 0.9, MIN_TRIALS, stream=RngStream(5, (Purpose.TRIAL,))
-    )
-    assert by_int == by_stream
 
 
 def test_closed_form_max_transform_reproduces_the_two_draw_mean():
@@ -80,7 +75,7 @@ def test_mc_max_boost_frequency_matches_the_exact_failure_probability():
     phi = phi_budget(alpha, horizon)
     sigma = math.sqrt(math.log(horizon))
     truth = mu * 0.5**phi + (1.0 - mu) * std_normal_cdf(mu / sigma) ** phi
-    report = mc_max_boost(alpha, horizon, 1, mu, trials, stream=11)
+    report = mc_max_boost(alpha, horizon, 1, mu, trials, stream=_trials(11))
     se = math.sqrt(truth * (1.0 - truth) / trials)
     assert abs(report.estimate - truth) < 5.0 * se
 
@@ -107,13 +102,15 @@ def test_mc_inverse_prob_validation():
 
 
 def test_mc_inverse_prob_names_and_determinism():
-    plain = mc_inverse_prob(0.0, 100, 2, 0.95, 0.4, MIN_TRIALS, shifted=False, stream=1)
-    again = mc_inverse_prob(0.0, 100, 2, 0.95, 0.4, MIN_TRIALS, shifted=False, stream=1)
+    plain = mc_inverse_prob(0.0, 100, 2, 0.95, 0.4, MIN_TRIALS, shifted=False,
+                            stream=_trials(1))
+    again = mc_inverse_prob(0.0, 100, 2, 0.95, 0.4, MIN_TRIALS, shifted=False,
+                            stream=_trials(1))
     assert plain == again
     assert plain.name == "inverse-prob(alpha=0,T=100,s=2,plain)"
     assert plain.bound == 12.34
     shifted = mc_inverse_prob(
-        0.0, 10**4, 1076, 0.95, 0.4, MIN_TRIALS, shifted=True, stream=1
+        0.0, 10**4, 1076, 0.95, 0.4, MIN_TRIALS, shifted=True, stream=_trials(1)
     )
     assert shifted.name == "inverse-prob(alpha=0,T=10000,s=1076,shifted)"
     assert shifted.bound == 72.0 / (10**4 * 0.4 * 0.4)
@@ -125,7 +122,8 @@ def test_mc_inverse_prob_matches_the_exact_two_point_expectation():
     e_low = 1.0 / std_normal_cdf(-mu1) - 1.0
     e_high = 1.0 / std_normal_cdf(1.0 - mu1) - 1.0
     truth = (1.0 - mu1) * e_low + mu1 * e_high
-    report = mc_inverse_prob(0.0, 100, 1, mu1, 0.4, trials, shifted=False, stream=2)
+    report = mc_inverse_prob(0.0, 100, 1, mu1, 0.4, trials, shifted=False,
+                             stream=_trials(2))
     assert abs(report.estimate - truth) < 5.0 * report.mc_std_err
     assert report.passed
 
@@ -175,7 +173,6 @@ def test_log_inequality_margin_is_zero_at_alpha_one_and_negative_below():
     # at alpha = 0 the ln T terms cancel exactly, leaving the -1 slack
     assert log_inequality_margin(horizons=(10**6,), alphas=(0.0,)) == -1.0
     assert log_inequality_margin(horizons=(10**6,), alphas=(0.5,)) < -4.0
-    assert check_log_inequality()
     # brute recomputation of the worst point
     grid = [
         math.log(T) ** (1.0 - a) - ((1.0 - a) * math.log(T) + 1.0)
@@ -199,18 +196,18 @@ def test_mc_hoeffding_validation_and_fields():
         mc_hoeffding(10, 0.1, 1.0, MIN_TRIALS)
     with pytest.raises(ValueError):
         mc_hoeffding(10, 0.1, 0.5, 999)
-    report = mc_hoeffding(100, 0.2, 0.5, MIN_TRIALS, stream=4)
+    report = mc_hoeffding(100, 0.2, 0.5, MIN_TRIALS, stream=_trials(4))
     assert report.name == "hoeffding(n=100,a=0.2)"
     assert report.bound == 2.0 * math.exp(-2.0 * 100 * 0.04)
     assert report.passed
-    assert report == mc_hoeffding(100, 0.2, 0.5, MIN_TRIALS, stream=4)
+    assert report == mc_hoeffding(100, 0.2, 0.5, MIN_TRIALS, stream=_trials(4))
 
 
 def test_mc_hoeffding_matches_the_exact_binomial_tail():
     # n = 10, a = 0.25, mu = 0.5: the event is |k - 5| >= 2.5, i.e. k <= 2 or
     # k >= 8, with exact probability 2 * (1 + 10 + 45) / 1024
     truth = 2.0 * (1 + 10 + 45) / 1024.0
-    report = mc_hoeffding(10, 0.25, 0.5, 200_000, stream=8)
+    report = mc_hoeffding(10, 0.25, 0.5, 200_000, stream=_trials(8))
     se = math.sqrt(truth * (1.0 - truth) / 200_000)
     assert abs(report.estimate - truth) < 5.0 * se
 
