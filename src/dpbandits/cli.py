@@ -395,6 +395,8 @@ def _cmd_verify(cfg: CliConfig) -> int:
 def _cmd_privacy(cfg: CliConfig) -> int:
     with _library_rejections_are_usage_errors():
         policies = expand_policies(cfg)
+        for policy in policies:
+            policy.validate_for(len(cfg.means))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = write_privacy_csv(policies, out / "privacy.csv", cfg.eps_grid)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "BLOCK_SIZE",
     "BanditInstance",
     "Purpose",
     "RngStream",
@@ -25,6 +26,11 @@ class Purpose(enum.IntEnum):
 
 
 _MASK64 = (1 << 64) - 1
+
+#: Random values the round loops draw from a generator per call.  Block draws
+#: give the same values as one-at-a-time calls; this bounds the buffers at
+#: 32 KiB whatever the horizon.
+BLOCK_SIZE = 4096
 
 
 @dataclass(frozen=True)

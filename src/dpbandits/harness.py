@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import BanditInstance, Purpose, RngStream, gaps, sample_reward
+from .env import BLOCK_SIZE, BanditInstance, Purpose, RngStream, gaps
 from .policies import Policy, PolicyConfig, make_policy
 from .privacy import gdp_to_dp, policy_gdp
 
@@ -122,25 +122,30 @@ def _drive(
     horizon: int,
     checkpoints: tuple[int, ...],
     reward_rng: np.random.Generator,
-) -> tuple[list[float], np.ndarray]:
-    """The round loop: select, draw reward, update, accumulate pseudo-regret."""
-    gap = gaps(instance)
-    pulls = np.zeros(instance.n_arms, dtype=np.int64)
+) -> tuple[list[float], list[int]]:
+    """The round loop: select, draw reward, update, accumulate pseudo-regret.
+
+    Uniforms come from `reward_rng.random` in blocks of BLOCK_SIZE; each
+    reward `u < mean` is the one sample_reward would draw at that point."""
+    means = instance.means
+    gap = gaps(instance).tolist()
+    pulls = [0] * instance.n_arms
     regret = 0.0
     trace: list[float] = []
     remaining = iter(checkpoints)
     next_cp = next(remaining)
     select = policy.select
     update = policy.update
-    for t in range(1, horizon + 1):
-        arm = select(t)
-        reward = sample_reward(instance, arm, reward_rng)
-        update(arm, reward)
-        pulls[arm] += 1
-        regret += gap[arm]
-        if t == next_cp:
-            trace.append(regret)
-            next_cp = next(remaining, 0)
+    for start in range(1, horizon + 1, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, horizon + 1)
+        for t, u in zip(range(start, stop), reward_rng.random(stop - start).tolist()):
+            arm = select(t)
+            update(arm, 1.0 if u < means[arm] else 0.0)
+            pulls[arm] += 1
+            regret += gap[arm]
+            if t == next_cp:
+                trace.append(regret)
+                next_cp = next(remaining, 0)
     return trace, pulls
 
 
@@ -162,7 +167,7 @@ def run_single(spec: ExperimentSpec, position: int, run_index: int) -> RunResult
         seed=run_index,
         checkpoints=spec.checkpoints,
         regret=tuple(trace),
-        pulls=tuple(int(p) for p in pulls),
+        pulls=tuple(pulls),
         eta=None if eta is None else eta.eta,
     )
 

@@ -14,6 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .env import BLOCK_SIZE
 from .privacy import (
     BUDGET_SCALE,
     MIN_HORIZON,
@@ -238,6 +239,12 @@ class DpTsUcbPolicy(Policy):
     in a pending buffer; once an arm's epoch has 2^r of them, the mean
     estimate is replaced by the buffer mean, the budget refills and the epoch
     max resets.
+
+    A round with a live arm makes exactly one `rng.normal(loc, scale)` call,
+    one variate per live arm in arm order; a round without one leaves `rng`
+    untouched.  Budgets are not counted down round by round: an arm's budget
+    is `expiry - rounds`, so the live set, and the arguments of that call, are
+    rebuilt only when an epoch closes or a budget runs out.
     """
 
     def __init__(
@@ -256,32 +263,40 @@ class DpTsUcbPolicy(Policy):
         self._ln_pow = math.log(float(horizon)) ** self.alpha
         k = self.n_arms
         self._init_cursor = 0
-        self._n = np.ones(k, dtype=np.int64)
+        self._epoch = [1] * k  # an arm in epoch r has n = 2^(r-1) observations
+        self._unprocessed = [0] * k
+        self._pending = [0.0] * k
+        self._rounds = 0  # post-initialization rounds selected so far
+        self._expiry = [self.phi] * k  # the round count at which the budget is spent
         self._mu_hat = np.zeros(k, dtype=np.float64)
         self._scale = np.full(k, math.sqrt(self._ln_pow), dtype=np.float64)
-        self._epoch = np.ones(k, dtype=np.int64)
-        self._unprocessed = np.zeros(k, dtype=np.int64)
-        self._budget = np.full(k, self.phi, dtype=np.int64)
         self._max_model = np.full(k, -math.inf, dtype=np.float64)
-        self._pending = np.zeros(k, dtype=np.float64)
+        # The live-arm cache, rebuilt by _refresh once _rounds reaches
+        # _stale_at: the arms that draw (None for none), the normal()
+        # arguments, and the argmax when no arm draws.  _theta holds the
+        # epoch max of every arm that does not draw.
+        self._theta = np.empty(k, dtype=np.float64)
+        self._stale_at = 0
+        self._live: slice | np.ndarray | None = None
+        self._live_loc = self._live_scale = self._mu_hat
+        self._best = 0
 
     def arm_state(self, arm: int) -> ArmState:
         """Inspection snapshot of one arm's bookkeeping."""
         return ArmState(
-            n=int(self._n[arm]),
+            n=1 << (self._epoch[arm] - 1),
             mu_hat=float(self._mu_hat[arm]),
-            epoch=int(self._epoch[arm]),
-            unprocessed=int(self._unprocessed[arm]),
-            budget=int(self._budget[arm]),
+            epoch=self._epoch[arm],
+            unprocessed=self._unprocessed[arm],
+            budget=max(0, self._expiry[arm] - self._rounds),
             max_model=float(self._max_model[arm]),
-            pending_sum=float(self._pending[arm]),
+            pending_sum=self._pending[arm],
         )
 
     def select(self, t: int) -> int:
         if self._init_cursor < self.n_arms:
             return self._init_cursor
-        arm, _ = self.select_with_models(t)
-        return arm
+        return self._round()
 
     def select_with_models(self, t: int) -> tuple[int, np.ndarray]:
         """One post-initialization round; returns (arm, per-arm models).
@@ -291,22 +306,37 @@ class DpTsUcbPolicy(Policy):
         """
         if self._init_cursor < self.n_arms:
             raise RuntimeError("initialization rounds are not finished")
-        budget = self._budget
-        if budget.all():
-            theta = self._rng.normal(self._mu_hat, self._scale)
-            budget -= 1
-            np.maximum(self._max_model, theta, out=self._max_model)
+        arm = self._round()
+        return arm, self._theta.copy()
+
+    def _round(self) -> int:
+        if self._rounds >= self._stale_at:
+            self._refresh()
+        self._rounds += 1
+        live = self._live
+        if live is None:
+            return self._best
+        theta = self._theta
+        theta[live] = self._rng.normal(self._live_loc, self._live_scale)
+        np.maximum(self._max_model, theta, out=self._max_model)
+        return int(theta.argmax())
+
+    def _refresh(self) -> None:
+        """Rebuild the live-arm cache for the current round count."""
+        rounds = self._rounds
+        live = [arm for arm, expiry in enumerate(self._expiry) if expiry > rounds]
+        self._stale_at = min((self._expiry[arm] for arm in live), default=math.inf)
+        np.copyto(self._theta, self._max_model)
+        if not live:
+            self._live = None
+            self._best = int(self._theta.argmax())
+        elif len(live) == self.n_arms:
+            self._live = slice(None)
+            self._live_loc, self._live_scale = self._mu_hat, self._scale
         else:
-            live = budget > 0
-            if live.any():
-                theta = self._max_model.copy()
-                draws = self._rng.normal(self._mu_hat[live], self._scale[live])
-                theta[live] = draws
-                budget[live] -= 1
-                self._max_model[live] = np.maximum(self._max_model[live], draws)
-            else:
-                theta = self._max_model.copy()
-        return int(np.argmax(theta)), theta
+            self._live = np.array(live)
+            self._live_loc = self._mu_hat[self._live]
+            self._live_scale = self._scale[self._live]
 
     def update(self, arm: int, reward: float) -> None:
         if self._init_cursor < self.n_arms:
@@ -314,24 +344,31 @@ class DpTsUcbPolicy(Policy):
             self._mu_hat[arm] = reward
             self._init_cursor += 1
             return
-        self._unprocessed[arm] += 1
-        self._pending[arm] += reward
+        unprocessed = self._unprocessed[arm] + 1
+        pending = self._pending[arm] + reward
         size = 1 << self._epoch[arm]
-        if self._unprocessed[arm] == size:
-            self._mu_hat[arm] = self._pending[arm] / size
-            self._n[arm] = size
-            self._scale[arm] = math.sqrt(self._ln_pow / size)
-            self._budget[arm] = self.phi
-            self._max_model[arm] = -math.inf
-            self._pending[arm] = 0.0
-            self._unprocessed[arm] = 0
-            self._epoch[arm] += 1
+        if unprocessed < size:
+            self._unprocessed[arm] = unprocessed
+            self._pending[arm] = pending
+            return
+        self._mu_hat[arm] = pending / size
+        self._scale[arm] = math.sqrt(self._ln_pow / size)
+        self._max_model[arm] = -math.inf
+        self._pending[arm] = 0.0
+        self._unprocessed[arm] = 0
+        self._epoch[arm] += 1
+        self._expiry[arm] = self._rounds + self.phi
+        self._stale_at = self._rounds
 
 
 class GaussianThompsonPolicy(Policy):
     """Gaussian Thompson sampling: theta_i ~ Normal(mu_hat_i, c/n_i) for every
     arm every round, after pulling each arm b+1 times round-robin.  b=0, c=1
-    is the plain baseline."""
+    is the plain baseline.
+
+    Noise comes from blocks of `standard_normal` rows, one row per round;
+    theta = scale * z + mu_hat is bit for bit what `rng.normal(mu_hat, scale)`
+    would return at the same point of the stream."""
 
     def __init__(self, n_arms: int, rng: np.random.Generator, b: int = 0, c: float = 1.0) -> None:
         self.n_arms = int(n_arms)
@@ -340,22 +377,46 @@ class GaussianThompsonPolicy(Policy):
         self._rng = rng
         self._init_total = (self.b + 1) * self.n_arms
         self._init_cursor = 0
-        self._n = np.zeros(n_arms, dtype=np.int64)
-        self._mu_hat = np.zeros(n_arms, dtype=np.float64)
-        self._scale = np.zeros(n_arms, dtype=np.float64)
+        self._n = [0] * self.n_arms
+        self._mu = [0.0] * self.n_arms
+        self._mu_hat = np.zeros(self.n_arms, dtype=np.float64)
+        self._scale = np.zeros(self.n_arms, dtype=np.float64)
+        self._theta = np.empty(self.n_arms, dtype=np.float64)
+        self._block_rows = max(1, BLOCK_SIZE // self.n_arms)
+        self._noise = np.empty((0, self.n_arms))
+        self._row = self._block_rows
 
     def select(self, t: int) -> int:
         if self._init_cursor < self._init_total:
             return self._init_cursor % self.n_arms
-        theta = self._rng.normal(self._mu_hat, self._scale)
-        return int(np.argmax(theta))
+        return self._round()
+
+    def select_with_models(self, t: int) -> tuple[int, np.ndarray]:
+        """One post-initialization round; returns (arm, per-arm models)."""
+        if self._init_cursor < self._init_total:
+            raise RuntimeError("initialization rounds are not finished")
+        arm = self._round()
+        return arm, self._theta.copy()
+
+    def _round(self) -> int:
+        row = self._row
+        if row == self._block_rows:
+            self._noise = self._rng.standard_normal((self._block_rows, self.n_arms))
+            row = 0
+        self._row = row + 1
+        theta = np.multiply(self._noise[row], self._scale, out=self._theta)
+        theta += self._mu_hat
+        return int(theta.argmax())
 
     def update(self, arm: int, reward: float) -> None:
         if self._init_cursor < self._init_total:
             self._init_cursor += 1
         n = self._n[arm] + 1
         self._n[arm] = n
-        self._mu_hat[arm] += (reward - self._mu_hat[arm]) / n
+        mu = self._mu[arm]
+        mu += (reward - mu) / n
+        self._mu[arm] = mu
+        self._mu_hat[arm] = mu
         self._scale[arm] = math.sqrt(self.c / n)
 
 
@@ -365,21 +426,30 @@ class Ucb1Policy(Policy):
     def __init__(self, n_arms: int) -> None:
         self.n_arms = int(n_arms)
         self._init_cursor = 0
-        self._n = np.zeros(n_arms, dtype=np.int64)
-        self._mu_hat = np.zeros(n_arms, dtype=np.float64)
+        self._counts = [0] * self.n_arms
+        self._mu = [0.0] * self.n_arms
+        self._n = np.zeros(self.n_arms, dtype=np.float64)
+        self._mu_hat = np.zeros(self.n_arms, dtype=np.float64)
+        self._index = np.empty(self.n_arms, dtype=np.float64)
 
     def select(self, t: int) -> int:
         if self._init_cursor < self.n_arms:
             return self._init_cursor
-        index = self._mu_hat + np.sqrt((2.0 * math.log(t)) / self._n)
-        return int(np.argmax(index))
+        index = np.divide(2.0 * math.log(t), self._n, out=self._index)
+        np.sqrt(index, out=index)
+        index += self._mu_hat
+        return int(index.argmax())
 
     def update(self, arm: int, reward: float) -> None:
         if self._init_cursor < self.n_arms:
             self._init_cursor += 1
-        n = self._n[arm] + 1
+        n = self._counts[arm] + 1
+        self._counts[arm] = n
         self._n[arm] = n
-        self._mu_hat[arm] += (reward - self._mu_hat[arm]) / n
+        mu = self._mu[arm]
+        mu += (reward - mu) / n
+        self._mu[arm] = mu
+        self._mu_hat[arm] = mu
 
 
 def make_policy(config: PolicyConfig, n_arms: int, rng: np.random.Generator) -> Policy:

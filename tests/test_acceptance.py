@@ -200,42 +200,45 @@ def _run_instrumented_trace(trace_seed: int) -> int:
     fresh_in_epoch = np.zeros(n_arms, dtype=np.int64)
     running_max = np.full(n_arms, -math.inf)
 
+    states = [policy.arm_state(a) for a in range(n_arms)]
     for t in range(n_arms + 1, horizon + 1):
-        budget_before = policy._budget.copy()
+        budget_before = np.array([s.budget for s in states])
         arm, theta = policy.select_with_models(t)
         drew = budget_before > 0
+        states = [policy.arm_state(a) for a in range(n_arms)]
         # budgets: decremented exactly for arms that still had draws left
-        assert np.array_equal(policy._budget, budget_before - drew)
+        assert np.array_equal([s.budget for s in states], budget_before - drew)
         fresh_in_epoch += drew
         assert (fresh_in_epoch <= phi).all()  # never more than phi fresh draws
         running_max[drew] = np.maximum(running_max[drew], theta[drew])
         # reuse phase: the exposed model is the exact max of this epoch's draws
         reused = ~drew
         assert np.array_equal(theta[reused], running_max[reused])
-        assert np.array_equal(policy._max_model, running_max)
+        assert np.array_equal([s.max_model for s in states], running_max)
 
         reward = 1.0 if params.random() < means[arm] else 0.0
-        epoch_before = int(policy._epoch[arm])
+        epoch_before = states[arm].epoch
         policy.update(arm, reward)
+        state = states[arm] = policy.arm_state(arm)
         pending_ids[arm].append(t)
         pending_sum[arm] += reward
         pulls[arm] += 1
 
-        if int(policy._epoch[arm]) != epoch_before:  # the update closed an epoch
+        if state.epoch != epoch_before:  # the update closed an epoch
             block = pending_ids[arm]
             assert len(block) == 2**epoch_before  # epoch k consumes 2^k rewards
             assert consumed_ids[arm].isdisjoint(block)  # each reward used once
             consumed_ids[arm].update(block)
-            assert policy._n[arm] == 2**epoch_before
-            assert policy._mu_hat[arm] == pending_sum[arm] / 2**epoch_before
-            assert policy._budget[arm] == phi
-            assert policy._unprocessed[arm] == 0
+            assert state.n == 2**epoch_before
+            assert state.mu_hat == pending_sum[arm] / 2**epoch_before
+            assert state.budget == phi
+            assert state.unprocessed == 0
             pending_ids[arm] = []
             pending_sum[arm] = 0.0
             fresh_in_epoch[arm] = 0
             running_max[arm] = -math.inf
         else:
-            assert policy._unprocessed[arm] == len(pending_ids[arm])
+            assert state.unprocessed == len(pending_ids[arm])
 
     assert pulls.sum() == horizon
     return horizon

@@ -312,6 +312,8 @@ def test_library_domain_errors_exit_two(capsys):
     # fig5's b=2000 round-robin needs T >= 2001 * 5 rounds
     assert main(["run", "--preset", "paper-fig5", "--T", "10000", "--runs", "1"]) == 2
     assert "initialization rounds" in capsys.readouterr().err
+    assert main(["privacy", "--preset", "paper-fig5", "--T", "10000"]) == 2
+    assert "initialization rounds" in capsys.readouterr().err
 
 
 def test_value_errors_from_inside_the_library_propagate(monkeypatch):

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from dpbandits.env import BanditInstance
+from dpbandits.env import BLOCK_SIZE, BanditInstance, sample_reward
 from dpbandits.harness import (
     DEFAULT_EPS_GRID,
     ExperimentSpec,
@@ -108,7 +108,7 @@ def test_drive_accumulates_gap_regret_exactly():
     rng = np.random.default_rng(0)
     trace, pulls = _drive(policy, inst, 8, (2, 4, 8), rng)
     assert trace == [1.0, 2.0, 4.0]
-    assert pulls.tolist() == [0, 8]
+    assert pulls == [0, 8]
     assert len(policy.updates) == 8
     assert all(arm == 1 for arm, _ in policy.updates)
 
@@ -119,6 +119,24 @@ def test_drive_feeds_the_selected_arms_reward_back():
     rng = np.random.default_rng(0)
     _drive(policy, inst, 5, (5,), rng)
     assert policy.updates == [(0, 1.0)] * 5  # mean 1.0 arm always pays 1.0
+
+
+class Cycle(AlwaysArm):
+    """Deterministic stub: pulls arm (t mod K) in round t."""
+
+    def select(self, t):
+        return t % self.n_arms
+
+
+def test_drive_rewards_match_sample_reward_across_reward_blocks():
+    inst = BanditInstance((0.3, 0.5, 0.9))
+    policy = Cycle(3, None)
+    horizon = 3 * BLOCK_SIZE + 7  # into a fourth block of uniforms
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    _drive(policy, inst, horizon, (horizon,), rng)
+    expected = [(t % 3, sample_reward(inst, t % 3, twin)) for t in range(1, horizon + 1)]
+    assert policy.updates == expected
+    assert rng.random() == twin.random()  # no uniform drawn beyond the horizon
 
 
 def _small_spec(n_runs=3, T=300, seed=7):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpbandits.cli import expand_policies, parse_config
-from dpbandits.env import RngStream
+from dpbandits.env import BLOCK_SIZE, RngStream
 from dpbandits.policies import (
     BUDGET_SCALE,
     VARIANTS,
@@ -195,45 +195,99 @@ def test_next_epoch_needs_twice_as_many_rewards():
     assert (s.epoch, s.n, s.mu_hat) == (3, 4, 0.75)
 
 
+def _spend_rounds(policy, rounds):
+    """Run `rounds` post-initialization rounds without feeding rewards back."""
+    for t in range(rounds):
+        policy.select_with_models(3 + t)
+
+
 def test_reuse_phase_draws_only_for_arms_with_budget_left():
     policy = _fresh_dp_policy(seed=9)
     policy.update(0, 1.0)
     policy.update(1, 0.0)
-    policy._budget[0] = 0
-    policy._max_model[0] = 0.25
+    _spend_rounds(policy, 5)  # budgets 8 and 8
+    for r in (1.0, 0.0):  # close arm 1's epoch: its budget refills to 13
+        policy.update(1, r)
+    _spend_rounds(policy, 8)  # arm 0 spends its last draws; arm 1 has 5 left
+    assert [policy.arm_state(a).budget for a in (0, 1)] == [0, 5]
     twin = RngStream(9).generator()
-    expected = twin.normal(np.array([0.0]), np.array([math.sqrt(math.log(21.0))]))
-    arm, theta = policy.select_with_models(3)
-    assert theta[0] == 0.25
+    twin.standard_normal(2 * 5 + 2 * 8)  # the draws made so far
+    expected = twin.normal(np.array([0.5]), np.array([math.sqrt(math.log(21.0) / 2.0)]))
+    reused = policy.arm_state(0).max_model
+    arm, theta = policy.select_with_models(16)
+    assert theta[0] == reused
     assert theta[1] == expected[0]
     assert policy.arm_state(0).budget == 0
-    assert policy.arm_state(1).budget == 12
+    assert policy.arm_state(1).budget == 4
 
 
 def test_exhausted_budgets_reuse_the_epoch_max_without_touching_the_rng():
-    policy = _fresh_dp_policy(seed=21)
+    rng = RngStream(21).generator()
+    policy = DpTsUcbPolicy(2, 21, 1.0, rng)
     policy.update(0, 1.0)
     policy.update(1, 0.0)
-    policy._budget[:] = 0
-    policy._max_model[:] = (0.3, 0.7)
-    arm, theta = policy.select_with_models(3)
-    assert arm == 1
-    assert theta.tolist() == [0.3, 0.7]
-    arm2, theta2 = policy.select_with_models(4)
-    assert (arm2, theta2.tolist()) == (1, [0.3, 0.7])
-    # no generator draws happened: the stream still matches a fresh twin
+    _spend_rounds(policy, 13)  # phi = 13: both budgets are spent
+    maxes = [policy.arm_state(a).max_model for a in (0, 1)]
+    assert [policy.arm_state(a).budget for a in (0, 1)] == [0, 0]
+    arm, theta = policy.select_with_models(16)
+    assert arm == int(np.argmax(maxes))
+    assert theta.tolist() == maxes
+    arm2, theta2 = policy.select_with_models(17)
+    assert (arm2, theta2.tolist()) == (arm, maxes)
+    # no generator draws happened after the 26 fresh ones
     twin = RngStream(21).generator()
-    assert policy._rng.random() == twin.random()
+    twin.standard_normal(2 * 13)
+    assert rng.random() == twin.random()
 
 
 def test_epoch_close_shrinks_the_model_scale():
-    policy = _fresh_dp_policy()
+    policy = _fresh_dp_policy(seed=4)
     policy.update(0, 1.0)
     policy.update(1, 0.0)
     for r in (1.0, 0.0):
         policy.update(0, r)
-    assert policy._scale[0] == math.sqrt(math.log(21.0) / 2.0)
-    assert policy._scale[1] == math.sqrt(math.log(21.0))
+    twin = RngStream(4).generator()
+    scale = [math.sqrt(math.log(21.0) / 2.0), math.sqrt(math.log(21.0))]
+    expected = twin.normal(np.array([0.5, 0.0]), np.array(scale))
+    _, theta = policy.select_with_models(3)
+    assert np.array_equal(theta, expected)
+
+
+class NormalOnly:
+    """A generator that offers only normal(loc, scale) and counts its variates."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.draws = 0
+
+    def normal(self, loc, scale):
+        out = self._rng.normal(loc, scale)
+        self.draws += np.size(out)
+        return out
+
+
+@pytest.mark.parametrize("n_arms, horizon", [(5, 3000), (100, 3000)])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_each_round_draws_one_variate_per_live_arm(n_arms, horizon, alpha):
+    rng = RngStream(n_arms).generator()
+    counter = NormalOnly(rng)
+    policy = DpTsUcbPolicy(n_arms, horizon, alpha, counter)
+    rewards = np.random.default_rng(1)
+    means = np.linspace(0.9, 0.1, n_arms)
+    spent_rounds = 0
+    for t in range(1, horizon + 1):
+        live = sum(policy.arm_state(a).budget > 0 for a in range(n_arms))
+        before, state = counter.draws, repr(rng.bit_generator.state)
+        arm = policy.select(t)
+        if t <= n_arms:
+            assert counter.draws == before  # initialization draws nothing
+        else:
+            assert counter.draws - before == live
+            if live == 0:
+                spent_rounds += 1
+                assert repr(rng.bit_generator.state) == state
+        policy.update(arm, float(rewards.random() < means[arm]))
+    assert (spent_rounds > 0) == (alpha == 1.0)
 
 
 def test_alpha_zero_uses_unit_variance_models():
@@ -268,8 +322,37 @@ def test_pre_pulls_repeat_the_round_robin_b_plus_one_times():
         seen.append(arm)
         policy.update(arm, 1.0)
     assert seen == [0, 1, 2, 0, 1, 2]
-    assert policy._n.tolist() == [2, 2, 2]
-    assert policy._scale.tolist() == [1.0, 1.0, 1.0]  # sqrt(2/2)
+    with pytest.raises(RuntimeError):
+        GaussianThompsonPolicy(3, rng, b=1).select_with_models(1)
+    # n = 2 per arm: mean 1 and scale sqrt(2/2) = 1, and no draws before now
+    twin = RngStream(2).generator()
+    _, theta = policy.select_with_models(7)
+    assert np.array_equal(theta, twin.normal(np.ones(3), np.ones(3)))
+
+
+@pytest.mark.parametrize("n_arms", [1, 5, 100])
+def test_thompson_models_match_normal_draws_across_noise_blocks(n_arms):
+    b, c = 2, 2.5
+    rng = RngStream(n_arms).generator()
+    twin = RngStream(n_arms).generator()
+    policy = GaussianThompsonPolicy(n_arms, rng, b=b, c=c)
+    rewards = np.random.default_rng(3)
+    n = np.zeros(n_arms)
+    mu_hat = np.zeros(n_arms)
+    init = (b + 1) * n_arms
+    rows = BLOCK_SIZE // n_arms
+    for t in range(1, init + 2 * rows + 3):  # into a third noise block
+        if t <= init:
+            arm = policy.select(t)
+        else:
+            arm, theta = policy.select_with_models(t)
+            expected = twin.normal(mu_hat, np.sqrt(c / n))
+            assert np.array_equal(theta, expected), t
+            assert arm == int(np.argmax(expected))
+        reward = float(rewards.random() < 0.5)
+        policy.update(arm, reward)
+        n[arm] += 1
+        mu_hat[arm] += (reward - mu_hat[arm]) / n[arm]
 
 
 def test_thompson_mean_estimate_is_incremental():
