@@ -147,12 +147,7 @@ def _parse_config_text(text: str) -> dict[str, str]:
 
 
 def _flag_items(ns: argparse.Namespace) -> dict[str, str]:
-    pairs = {
-        "means": ns.means, "T": ns.T, "alpha": ns.alpha, "policies": ns.policies,
-        "b": ns.b, "c": ns.c, "runs": ns.runs, "seed": ns.seed, "out": ns.out,
-        "eps-grid": ns.eps_grid, "workers": ns.workers, "trials": ns.trials,
-        "checks": ns.checks, "preset": ns.preset,
-    }
+    pairs = {key: getattr(ns, key.replace("-", "_")) for key in _CONFIG_KEYS}
     return {k: v for k, v in pairs.items() if v is not None}
 
 

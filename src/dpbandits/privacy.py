@@ -1,9 +1,10 @@
 """Gaussian trade-off privacy accounting.
 
-Standard-normal primitives (cdf, log-cdf, quantile), the trade-off curve
-G_eta, composition, the conversion from a Gaussian guarantee to classical
-(epsilon, delta) points, the noise levels implied by each policy, and the
-variance scale that equalizes two policies' guarantees.
+Standard-normal primitives (cdf, log-cdf, and the quantile, which is scipy's
+`special.ndtri`), the trade-off curve G_eta, composition, the conversion from
+a Gaussian guarantee to classical (epsilon, delta) points, the noise levels
+implied by each policy, and the variance scale that equalizes two policies'
+guarantees.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: Multiplier in the per-epoch sampling budget, sqrt(2 pi e), and the base of
 #: the matched noise-level formulas below.
@@ -101,72 +101,17 @@ def std_normal_logcdf(x):
     return float(out[0]) if np.asarray(x).ndim == 0 else out
 
 
-# Rational initial estimate for the quantile (relative error ~1e-9),
-# then one Halley step against std_normal_cdf polishes to machine precision.
-_QA = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_QB = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-       6.680131188771972e+01, -1.328068155288572e+01)
-_QC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-       3.754408661907416e+00)
-_Q_LOW = 0.02425
-
-
-def _quantile_tail(q: np.ndarray) -> np.ndarray:
-    # lower-tail branch, q = quantile argument in (0, _Q_LOW)
-    r = np.sqrt(-2.0 * np.log(q))
-    num = ((((_QC[0] * r + _QC[1]) * r + _QC[2]) * r + _QC[3]) * r + _QC[4]) * r + _QC[5]
-    den = (((_QD[0] * r + _QD[1]) * r + _QD[2]) * r + _QD[3]) * r + 1.0
-    return num / den
-
-
-def _quantile_lower(q: np.ndarray) -> np.ndarray:
-    # Phi^{-1}(q) for q in (0, 0.5]; the root is <= 0, where the cdf keeps
-    # full relative precision, so the Halley residual never cancels.
-    x = np.empty_like(q)
-    lo = q < _Q_LOW
-    if lo.any():
-        x[lo] = _quantile_tail(q[lo])
-    mid = ~lo
-    if mid.any():
-        c = q[mid] - 0.5
-        r = c * c
-        num = ((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]
-        den = ((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0
-        x[mid] = c * num / den
-    # Halley polish; skip where the density underflows (|x| ~ 38) since the
-    # rational estimate's relative error is already far below any cdf change.
-    pdf = np.exp(-0.5 * x * x) / _SQRT_2PI
-    ok = pdf > 1e-300
-    if ok.any():
-        err = 0.5 * special.erfc(-x[ok] / _SQRT2) - q[ok]
-        u = err / pdf[ok]
-        x[ok] -= u / (1.0 + 0.5 * x[ok] * u)
-    return x
-
-
 def std_normal_quantile(p):
     """Phi^{-1}(p) for 0 < p < 1; scalar or ndarray.
 
-    The upper half maps to the lower half through the exact complement
-    (1 - p is exact for p >= 0.5), so accuracy is symmetric: the roundtrip
-    error |Phi(Phi^{-1}(p)) - p| stays within a few ulps of p across the
-    whole open interval.
+    This is scipy's `special.ndtri`, within a few ulps of the exact quantile
+    across the whole open interval, deep lower tail included.
     """
     arr = np.asarray(p, dtype=np.float64)
-    flat = np.atleast_1d(arr)
-    if not ((flat > 0.0) & (flat < 1.0)).all():  # NaN fails both comparisons
+    if not ((arr > 0.0) & (arr < 1.0)).all():  # NaN fails both comparisons
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    x = np.empty_like(flat)
-    lower = flat <= 0.5
-    upper = ~lower
-    if lower.any():
-        x[lower] = _quantile_lower(flat[lower])
-    if upper.any():
-        x[upper] = -_quantile_lower(1.0 - flat[upper])
-    return float(x[0]) if arr.ndim == 0 else x
+    out = special.ndtri(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -293,8 +293,12 @@ def test_each_round_draws_one_variate_per_live_arm(n_arms, horizon, alpha):
 def test_alpha_zero_uses_unit_variance_models():
     rng = RngStream(0).generator()
     policy = DpTsUcbPolicy(2, 1000, 0.0, rng)
-    # ln(T)^0 = 1, so the scale is 1/sqrt(n) regardless of the horizon
-    assert policy._scale.tolist() == [1.0, 1.0]
+    policy.update(0, 1.0)
+    policy.update(1, 0.0)
+    # ln(T)^0 = 1, so the scale is 1/sqrt(n) = 1 regardless of the horizon
+    twin = RngStream(0).generator()
+    _, theta = policy.select_with_models(3)
+    assert np.array_equal(theta, twin.normal(np.array([1.0, 0.0]), np.ones(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +364,25 @@ def test_thompson_mean_estimate_is_incremental():
     policy = GaussianThompsonPolicy(1, rng)
     for reward in (1.0, 1.0, 0.0, 0.0):
         policy.update(0, reward)
-    assert policy._n[0] == 4
-    assert policy._mu_hat[0] == pytest.approx(0.5, abs=1e-15)
-    assert policy._scale[0] == math.sqrt(1.0 / 4.0)
+    # n = 4: the model is Normal(0.5, sqrt(1/4))
+    twin = RngStream(2).generator()
+    _, theta = policy.select_with_models(5)
+    expected = twin.normal(np.array([0.5]), np.array([math.sqrt(1.0 / 4.0)]))
+    assert theta[0] == pytest.approx(expected[0], abs=1e-15)
 
 
 def test_model_variance_scales_with_c():
     rng = RngStream(2).generator()
     policy = GaussianThompsonPolicy(1, rng, c=9.0)
     policy.update(0, 1.0)
-    assert policy._scale[0] == 3.0
+    twin = RngStream(2).generator()
+    _, theta = policy.select_with_models(2)
+    assert np.array_equal(theta, twin.normal(np.ones(1), np.full(1, 3.0)))
 
 
 def test_ucb1_index_is_the_mean_plus_exploration_bonus():
     policy = Ucb1Policy(2)
+    fed = ([0.0], [1.0] * 9)
     assert policy.select(1) == 0
     policy.update(0, 0.0)
     assert policy.select(2) == 1
@@ -381,9 +390,10 @@ def test_ucb1_index_is_the_mean_plus_exploration_bonus():
     # indexes at t=3: [0 + sqrt(2 ln 3), 1 + sqrt(2 ln 3)]
     assert policy.select(3) == 1
     for _ in range(8):
-        policy.update(1, 0.0)
-    index = policy._mu_hat + np.sqrt(2.0 * math.log(20.0) / policy._n)
-    assert policy.select(20) == int(np.argmax(index))
+        policy.update(1, 1.0)
+    # at t=20 the bonus outweighs the gap in means: [2.45, 1.82]
+    index = [sum(r) / len(r) + math.sqrt(2.0 * math.log(20.0) / len(r)) for r in fed]
+    assert policy.select(20) == int(np.argmax(index)) == 0
 
 
 def test_ucb1_breaks_ties_toward_the_lowest_arm():

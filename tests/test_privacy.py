@@ -36,7 +36,13 @@ LOGPHI_REFS = {
     8.0: -6.2209605742717860585e-16,
     37.0: -5.7255712225245768227e-300,
 }
-QUANTILE_REFS = {0.975: 1.9599639845400542355, 1e-12: -7.0344838253011319298, 1e-300: -37.047096299361199237}
+QUANTILE_REFS = {
+    0.975: 1.9599639845400542355,
+    1e-12: -7.0344838253011319298,
+    1e-300: -37.047096299361199237,
+    0.4999: -0.0002506628300880074923889,
+    1e-310: -37.66306033194952373189,
+}
 
 
 def test_cdf_values_and_symmetry():
