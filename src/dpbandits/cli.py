@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .env import BanditInstance
 from .harness import ExperimentResult, ExperimentSpec, run_experiment, write_csv
-from .harness import write_privacy_csv
+from .harness import _open_writer, write_privacy_csv
 from .policies import VARIANTS, DpTsUcbConfig, MTsGaussianConfig, PolicyConfig, Variant
 from .privacy import match_c, policy_gdp
 from .verify import BATTERY_CHECKS, McReport, default_battery
@@ -361,7 +361,8 @@ def _cmd_run(cfg: CliConfig) -> int:
     result = run_experiment(spec, workers=cfg.workers)
     write_csv(result, cfg.out, cfg.eps_grid)
     summary = _summary_text(result)
-    (Path(cfg.out) / "summary.txt").write_text(summary + "\n")
+    with _open_writer(Path(cfg.out) / "summary.txt") as handle:
+        handle.write(summary + "\n")
     print(summary)
     return 0
 

@@ -3,6 +3,7 @@ cross-run aggregation, and the CSV output contract."""
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import os
 from dataclasses import dataclass
@@ -230,9 +231,19 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+@contextlib.contextmanager
 def _open_writer(path: Path):
-    handle = path.open("w", newline="")
-    return handle, csv.writer(handle, lineterminator="\n")
+    """Text handle on the sibling file `path`.tmp, moved onto `path` by
+    os.replace on a clean exit and deleted on any exception, so an
+    interrupted write never leaves a file at `path` that looks complete."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_privacy_csv(
@@ -254,8 +265,8 @@ def write_privacy_csv(
             rows.append(
                 [cfg.label(), alpha, str(cfg.horizon), _fmt(eta.eta), _fmt(eps), _fmt(point.delta)]
             )
-    handle, writer = _open_writer(path)
-    with handle:
+    with _open_writer(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["policy", "alpha", "T", "eta", "epsilon", "delta"])
         writer.writerows(rows)
     return rows
@@ -275,15 +286,15 @@ def write_csv(
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.csv" for name in ("per_run", "aggregate", "privacy")}
 
-    handle, writer = _open_writer(paths["per_run"])
-    with handle:
+    with _open_writer(paths["per_run"]) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["policy", "seed", "checkpoint", "regret"])
         for run in result.runs:
             for checkpoint, regret in zip(run.checkpoints, run.regret):
                 writer.writerow([run.policy, str(run.seed), str(checkpoint), _fmt(regret)])
 
-    handle, writer = _open_writer(paths["aggregate"])
-    with handle:
+    with _open_writer(paths["aggregate"]) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["policy", "checkpoint", "mean_regret", "std_regret", "n_runs"])
         for agg in result.aggregates:
             for checkpoint, mean, std in zip(agg.checkpoints, agg.mean_regret, agg.std_regret):

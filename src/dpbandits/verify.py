@@ -17,7 +17,7 @@ import numpy as np
 
 from .env import Purpose, RngStream
 from .policies import phi_budget
-from .privacy import _check_alpha, _check_horizon, std_normal_cdf, std_normal_quantile
+from .privacy import _check_alpha, _check_horizon, std_normal_cdf, std_normal_logcdf
 
 __all__ = [
     "MIN_TRIALS",
@@ -77,14 +77,14 @@ def mc_max_boost(alpha: float, horizon: int, s: int, mu: float, trials: int,
                  stream: RngStream = _TRIAL_STREAM) -> McReport:
     """Failure frequency of {max of phi fresh Gaussian models < mu}.
 
-    Each trial draws mu_hat as the mean of s Bernoulli(mu) rewards and then
-    the maximum of phi_budget(alpha, T) models from
-    Normal(mu_hat, ln(T)^alpha / s).  The max is drawn through the closed-form
-    max-CDF inverse, max = mu_hat + sigma * Phi^{-1}(U^{1/phi}) with one
-    uniform U per trial (identical in law to drawing all phi models; phi
-    reaches ~2e5 on the default grid, the inverse keeps a trial O(1)).  The
-    complementary quantile argument q = 1 - U^{1/phi} goes through expm1 so it
-    stays accurate when phi is large.  Bound: 3/T.
+    Each trial draws mu_hat = k/s, k ~ Binomial(s, mu), and one uniform U on
+    (0, 1], and stands for the maximum of phi_budget(alpha, T) models from
+    Normal(mu_hat, ln(T)^alpha / s): in law that max is
+    mu_hat + sigma * Phi^{-1}(U^{1/phi}), which is increasing in U.  So the
+    trial fails, max < mu, exactly when U < Phi((mu - k/s) / sigma)^phi.
+    That threshold is computed once per outcome k in {0..s}, in log space
+    (phi reaches ~2e5 on the default grid), and each trial is decided by
+    looking up its k.  Bound: 3/T.
     """
     alpha = _check_alpha(alpha)
     horizon = _check_horizon(horizon)
@@ -96,12 +96,10 @@ def mc_max_boost(alpha: float, horizon: int, s: int, mu: float, trials: int,
     rng = stream.generator()
     phi = phi_budget(alpha, horizon)
     sigma = math.sqrt(math.log(horizon) ** alpha / s)
-    mu_hat = rng.binomial(int(s), mu, size=trials) / s
-    u = 1.0 - rng.random(trials)  # uniform on (0, 1]: log(u) is always finite
-    exceed = -np.expm1(np.log(u) / phi)
-    exceed = np.clip(exceed, 1e-300, 1.0 - 1e-16)  # guard the 2^-53 endpoints
-    top = mu_hat - sigma * std_normal_quantile(exceed)
-    estimate = float(np.mean(top < mu))
+    k = rng.binomial(int(s), mu, size=trials)
+    u = 1.0 - rng.random(trials)
+    below = np.exp(phi * std_normal_logcdf((mu - np.arange(s + 1) / s) / sigma))
+    estimate = np.count_nonzero(u < below[k]) / trials
     se = math.sqrt(estimate * (1.0 - estimate) / trials)
     name = f"boost(alpha={alpha:g},T={horizon},s={s})"
     return _report(name, estimate, trials, se, 3.0 / horizon)
@@ -133,7 +131,10 @@ def mc_inverse_prob(alpha: float, horizon: int, s: int, mu1: float, gap: float,
 
     mu_hat is the mean of s Bernoulli(mu1) rewards and
     P = Phi((mu_hat - target) / sigma) with sigma = sqrt(ln(T)^alpha / s); P
-    is never estimated empirically, and nothing is truncated.  The target is
+    is never estimated empirically, and nothing is truncated.  1/P - 1 is
+    evaluated once per binomial outcome that some trial observed, and the
+    sample mean and standard error are weighted by how many trials observed
+    it.  The target is
     mu1 itself (shifted=False, bound 12.34, any s) or mu1 - gap/2
     (shifted=True, bound 72/(T gap^2), valid from inverse_prob_threshold on).
     Requires T * gap^2 > e.
@@ -151,12 +152,14 @@ def mc_inverse_prob(alpha: float, horizon: int, s: int, mu1: float, gap: float,
         raise ValueError(f"need T * gap^2 > e, got {horizon * gap * gap}")
     rng = stream.generator()
     sigma = math.sqrt(math.log(horizon) ** alpha / s)
-    mu_hat = rng.binomial(int(s), mu1, size=trials) / s
+    counts = np.bincount(rng.binomial(int(s), mu1, size=trials), minlength=s + 1)
     target = mu1 - 0.5 * gap if shifted else mu1
-    p_clear = std_normal_cdf((mu_hat - target) / sigma)
-    values = 1.0 / p_clear - 1.0
-    estimate = float(values.mean())
-    se = float(values.std(ddof=1)) / math.sqrt(trials)
+    # unseen outcomes are skipped: their Phi may underflow, and 0 * inf is NaN
+    seen = np.flatnonzero(counts)
+    weights = counts[seen]
+    values = 1.0 / std_normal_cdf((seen / s - target) / sigma) - 1.0
+    estimate = float(weights @ values) / trials
+    se = math.sqrt(float(weights @ (values - estimate) ** 2) / (trials - 1) / trials)
     bound = 72.0 / (horizon * gap * gap) if shifted else 12.34
     name = (
         f"inverse-prob(alpha={alpha:g},T={horizon},s={s},"
@@ -209,8 +212,9 @@ def mc_hoeffding(n: int, a: float, mu: float, trials: int,
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
     rng = stream.generator()
-    means = rng.binomial(int(n), mu, size=trials) / n
-    estimate = float(np.mean(np.abs(means - mu) >= a))
+    counts = np.bincount(rng.binomial(int(n), mu, size=trials), minlength=n + 1)
+    hit = np.abs(np.arange(n + 1) / n - mu) >= a
+    estimate = int(counts[hit].sum()) / trials
     se = math.sqrt(estimate * (1.0 - estimate) / trials)
     bound = 2.0 * math.exp(-2.0 * n * a * a)
     return _report(f"hoeffding(n={n},a={a:g})", estimate, trials, se, bound)

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from dpbandits import harness
 from dpbandits.env import BLOCK_SIZE, BanditInstance, sample_reward
 from dpbandits.harness import (
     DEFAULT_EPS_GRID,
@@ -303,6 +304,28 @@ def test_csv_output_is_byte_deterministic(tmp_path):
     second = write_csv(run_experiment(spec, workers=2), tmp_path / "b")
     for name in ("per_run", "aggregate", "privacy"):
         assert first[name].read_bytes() == second[name].read_bytes()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_an_interrupted_write_leaves_no_partial_csv(tmp_path, monkeypatch, existing):
+    result = run_experiment(_small_spec(n_runs=2), workers=1)
+    if existing:
+        write_csv(result, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_fmt, calls = harness._fmt, []
+
+    def interrupted_fmt(value):
+        calls.append(value)
+        if len(calls) > 5:  # part-way through per_run.csv's rows
+            raise KeyboardInterrupt
+        return real_fmt(value)
+
+    monkeypatch.setattr(harness, "_fmt", interrupted_fmt)
+    with pytest.raises(KeyboardInterrupt):
+        write_csv(result, tmp_path)
+    assert len(calls) == 6
+    # no truncated per_run.csv and no temporary file; earlier files untouched
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_privacy_csv_alpha_column_is_blank_for_non_budgeted_policies(tmp_path):

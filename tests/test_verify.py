@@ -68,16 +68,38 @@ def test_closed_form_max_transform_reproduces_the_two_draw_mean():
     assert abs(top.mean() - target) < 5.0 * top.std(ddof=1) / math.sqrt(n)
 
 
-def test_mc_max_boost_frequency_matches_the_exact_failure_probability():
-    # s = 1 makes mu_hat two-valued, so the failure probability is exact:
-    # P = mu * Phi(0)^phi + (1-mu) * Phi(mu/sigma)^phi
-    alpha, horizon, mu, trials = 1.0, 21, 0.95, 200_000
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("s", [1, 4, 16])
+def test_mc_max_boost_frequency_matches_the_exact_failure_probability(alpha, s):
+    # mu_hat = k/s takes s+1 values, so the failure probability is exact:
+    # P = sum_k Binom(k; s, mu) * Phi((mu - k/s) / sigma)^phi
+    horizon, mu, trials = 21, 0.95, 200_000
     phi = phi_budget(alpha, horizon)
-    sigma = math.sqrt(math.log(horizon))
-    truth = mu * 0.5**phi + (1.0 - mu) * std_normal_cdf(mu / sigma) ** phi
-    report = mc_max_boost(alpha, horizon, 1, mu, trials, stream=_trials(11))
+    sigma = math.sqrt(math.log(horizon) ** alpha / s)
+    truth = sum(
+        math.comb(s, k) * mu**k * (1.0 - mu) ** (s - k)
+        * std_normal_cdf((mu - k / s) / sigma) ** phi
+        for k in range(s + 1)
+    )
+    report = mc_max_boost(alpha, horizon, s, mu, trials, stream=_trials(11))
     se = math.sqrt(truth * (1.0 - truth) / trials)
     assert abs(report.estimate - truth) < 5.0 * se
+
+
+def test_mc_max_boost_decides_every_trial_as_the_drawn_maximum_would():
+    # twin stream: draw each trial's max through the closed-form transform
+    # max = k/s - sigma * Phi^{-1}(1 - U^{1/phi}) and count max < mu
+    alpha, horizon, s, mu, trials = 1.0, 21, 4, 0.95, 200_000
+    phi = phi_budget(alpha, horizon)
+    sigma = math.sqrt(math.log(horizon) ** alpha / s)
+    rng = _trials(5).generator()
+    k = rng.binomial(s, mu, size=trials)
+    u = 1.0 - rng.random(trials)
+    top = k / s - sigma * std_normal_quantile(-np.expm1(np.log(u) / phi))
+    failures = int(np.count_nonzero(top < mu))
+    report = mc_max_boost(alpha, horizon, s, mu, trials, stream=_trials(5))
+    assert failures > 0
+    assert failures / trials == report.estimate
 
 
 def test_inverse_prob_threshold_value_and_validation():
@@ -125,6 +147,31 @@ def test_mc_inverse_prob_matches_the_exact_two_point_expectation():
     report = mc_inverse_prob(0.0, 100, 1, mu1, 0.4, trials, shifted=False,
                              stream=_trials(2))
     assert abs(report.estimate - truth) < 5.0 * report.mc_std_err
+    assert report.passed
+
+
+@pytest.mark.parametrize(
+    "horizon, s, shifted", [(100, 1, False), (100, 2, False), (100, 8, False), (10**4, 1076, True)]
+)
+def test_mc_inverse_prob_weighted_moments_match_the_per_trial_moments(horizon, s, shifted):
+    mu1, gap, trials = 0.95, 0.4, 10**5
+    rng = _trials(6).generator()
+    mu_hat = rng.binomial(s, mu1, size=trials) / s
+    target = mu1 - 0.5 * gap if shifted else mu1
+    values = 1.0 / std_normal_cdf((mu_hat - target) / math.sqrt(1.0 / s)) - 1.0
+    report = mc_inverse_prob(0.0, horizon, s, mu1, gap, trials, shifted=shifted,
+                             stream=_trials(6))
+    assert report.estimate == pytest.approx(values.mean(), rel=1e-12, abs=0.0)
+    se = values.std(ddof=1) / math.sqrt(trials)
+    assert report.mc_std_err == pytest.approx(se, rel=1e-12, abs=0.0)
+
+
+def test_mc_inverse_prob_ignores_unseen_outcomes_whose_probability_underflows():
+    # s = 1e4: Phi((0 - 0.95) / 0.01) underflows to 0, but no trial sees k = 0
+    report = mc_inverse_prob(0.0, 10**4, 10**4, 0.95, 0.4, MIN_TRIALS, shifted=False,
+                             stream=_trials(3))
+    assert std_normal_cdf(-0.95 / 0.01) == 0.0
+    assert math.isfinite(report.estimate) and math.isfinite(report.mc_std_err)
     assert report.passed
 
 
