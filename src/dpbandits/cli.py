@@ -267,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--seed", help="base seed; every (policy, run) derives substreams")
     shared.add_argument("--out", help="output directory")
     shared.add_argument("--eps-grid", help="comma-separated epsilons for privacy.csv")
-    shared.add_argument("--workers", help="worker processes (default: machine CPUs)")
+    shared.add_argument("--workers", help="processes for run, threads for verify (default: machine CPUs)")
     shared.add_argument("--trials", help="Monte-Carlo trials per verification check")
     shared.add_argument("--checks", help=f"'all' or comma-separated subset of {list(BATTERY_CHECKS)}")
     parser = argparse.ArgumentParser(
@@ -382,7 +382,7 @@ def _render_reports(reports: list[McReport]) -> tuple[str, int]:
 
 
 def _cmd_verify(cfg: CliConfig) -> int:
-    reports = default_battery(cfg.trials, cfg.seed, cfg.checks)
+    reports = default_battery(cfg.trials, cfg.seed, cfg.checks, cfg.workers)
     text, code = _render_reports(reports)
     print(text)
     return code

@@ -213,7 +213,8 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
         for position in range(len(spec.policies))
         for run in range(spec.n_runs)
     ]
-    if workers == 1 or len(tasks) == 1:
+    workers = min(workers, len(tasks))  # the pool starts every worker it is given
+    if workers == 1:
         runs = [_run_task(t) for t in tasks]
     else:
         chunk = max(1, len(tasks) // (4 * workers))

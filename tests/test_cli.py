@@ -1,5 +1,6 @@
 import csv
 import math
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +251,21 @@ def test_verify_closed_form_checks_ignore_the_seed(capsys):
     first = capsys.readouterr().out
     main(["verify", "--checks", "gaussian-facts", "--seed", "99"])
     assert capsys.readouterr().out == first
+
+
+def test_verify_stdout_is_the_same_for_every_worker_count(capsys):
+    golden = (Path(__file__).parent / "golden" / "verify" / "stdout.txt").read_bytes()
+    for workers in ("1", "3"):
+        assert main(["verify", "--trials", "10000", "--workers", workers]) == 0
+        assert capsys.readouterr().out.encode() == golden
+
+
+def test_verify_runs_the_battery_on_the_workers_flag(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("dpbandits.cli.default_battery", lambda *a: calls.append(a) or [])
+    assert main(["verify", "--workers", "3"]) == 0
+    main(["verify"])
+    assert [a[3] for a in calls] == [3, None]
 
 
 def test_verify_failure_exits_one(monkeypatch, capsys):

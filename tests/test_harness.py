@@ -240,6 +240,37 @@ def test_worker_validation():
         run_experiment(_small_spec(n_runs=1), workers=0)
 
 
+def test_the_process_pool_is_never_larger_than_the_task_list(monkeypatch):
+    # the fork start method launches every max_workers process up front, so a
+    # pool larger than the task list forks processes that never get a task
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    spec = _small_spec(n_runs=1)  # two (policy, run) tasks
+    pooled = run_experiment(spec, workers=8)
+    assert sizes == [2]
+    assert run_experiment(spec, workers=2).runs == pooled.runs
+    assert sizes == [2, 2]
+    assert run_experiment(_small_spec(n_runs=3), workers=4).runs
+    assert sizes == [2, 2, 4]
+    inline = run_experiment(spec, workers=1)  # one worker runs in this process
+    assert sizes == [2, 2, 4]
+    assert inline.runs == pooled.runs
+
+
 def test_policies_behave_sanely_on_the_benchmark_instance():
     T = 2000
     policies = (

@@ -7,6 +7,7 @@ from dpbandits.env import Purpose, RngStream
 from dpbandits.policies import phi_budget
 from dpbandits.privacy import std_normal_cdf, std_normal_quantile
 from dpbandits.verify import (
+    CHUNK,
     MIN_TRIALS,
     McReport,
     check_gaussian_tail_facts,
@@ -250,6 +251,27 @@ def test_mc_hoeffding_validation_and_fields():
     assert report == mc_hoeffding(100, 0.2, 0.5, MIN_TRIALS, stream=_trials(4))
 
 
+def test_chunked_outcome_counts_equal_a_one_shot_draw():
+    # trials is not a multiple of CHUNK, so the last chunk is a short one
+    trials = 2 * CHUNK + 123
+    rng = _trials(9).generator()
+    counts = np.bincount(rng.binomial(10, 0.5, size=trials), minlength=11)
+    # n = 10, a = 0.25, mu = 0.5: the event is k <= 2 or k >= 8
+    hits = int(counts[:3].sum() + counts[8:].sum())
+    report = mc_hoeffding(10, 0.25, 0.5, trials, stream=_trials(9))
+    assert report.estimate == hits / trials
+
+    s, mu1, target = 8, 0.95, 0.95
+    rng = _trials(9).generator()
+    counts = np.bincount(rng.binomial(s, mu1, size=trials), minlength=s + 1)
+    seen = np.flatnonzero(counts)
+    values = 1.0 / std_normal_cdf((seen / s - target) / math.sqrt(1.0 / s)) - 1.0
+    estimate = float(counts[seen] @ values) / trials
+    se = math.sqrt(float(counts[seen] @ (values - estimate) ** 2) / (trials - 1) / trials)
+    report = mc_inverse_prob(0.0, 100, s, mu1, 0.4, trials, shifted=False, stream=_trials(9))
+    assert (report.estimate, report.mc_std_err) == (estimate, se)
+
+
 def test_mc_hoeffding_matches_the_exact_binomial_tail():
     # n = 10, a = 0.25, mu = 0.5: the event is |k - 5| >= 2.5, i.e. k <= 2 or
     # k >= 8, with exact probability 2 * (1 + 10 + 45) / 1024
@@ -297,3 +319,16 @@ def test_default_battery_shifted_inverse_check_sits_at_the_threshold():
         if "shifted" in r.name
     ]
     assert f"s={inverse_prob_threshold(0.0, 10**4, 0.4)}" in report.name
+
+
+def test_default_battery_reports_do_not_depend_on_the_worker_count():
+    # 4 threads can outnumber the CPUs; 3 * CHUNK + 5 trials cross chunk ends
+    trials = 3 * CHUNK + 5
+    reports = [default_battery(trials, seed=3, workers=w) for w in (1, 2, 4)]
+    assert reports[0] == reports[1] == reports[2]
+    assert len(reports[0]) == 33
+
+
+def test_default_battery_rejects_a_zero_worker_count():
+    with pytest.raises(ValueError):
+        default_battery(MIN_TRIALS, workers=0)
