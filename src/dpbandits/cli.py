@@ -3,8 +3,9 @@
 Three subcommands: `run` executes a benchmark and writes per_run.csv,
 aggregate.csv, privacy.csv and summary.txt; `verify` runs the Monte-Carlo
 verification battery; `privacy` prints the guarantee table without running
-anything.  Settings resolve in fixed precedence order: built-in defaults,
-then --preset expansion, then the --config file, then explicit flags.
+anything.  Each takes, as flags and as --config keys, only the settings it
+reads (COMMAND_KEYS).  Settings resolve in fixed precedence order: built-in
+defaults, then --preset expansion, then the --config file, then explicit flags.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 """
@@ -82,7 +83,38 @@ PRESETS = {
     },
 }
 
-_CONFIG_KEYS = tuple(DEFAULTS) + ("preset",)
+_EXPERIMENT_KEYS = ("preset", "means", "T", "alpha", "policies", "b", "c", "runs", "seed",
+                    "out", "eps-grid", "workers")
+
+#: the settings each command reads, as flags and --config keys; privacy takes run's
+COMMAND_KEYS = {"run": _EXPERIMENT_KEYS, "verify": ("seed", "workers", "trials", "checks"),
+                "privacy": _EXPERIMENT_KEYS}
+
+_HELP = {
+    "config": "flat key = value settings file",
+    "preset": f"one of {sorted(PRESETS)}",
+    "means": "comma-separated arm means in [0, 1]",
+    "T": "horizon (rounds per run)",
+    "alpha": "comma-separated privacy exponents in [0, 1]",
+    "policies": f"comma-separated subset of {list(POLICY_NAMES)}",
+    "b": "pre-pull count for m-ts-gaussian, or 'paper'",
+    "c": "variance scale for m-ts-gaussian, 'match' or 'regret'",
+    "runs": "independent runs per policy",
+    "seed": "base seed; every (policy, run) or check derives its own streams",
+    "out": "output directory",
+    "eps-grid": "comma-separated epsilons for privacy.csv",
+    "workers": "worker processes (default: machine CPUs)",
+    "trials": "Monte-Carlo trials per verification check",
+    "checks": f"'all' or comma-separated subset of {list(BATTERY_CHECKS)}",
+}
+
+#: command -> (summary, flag help that differs from _HELP)
+_COMMANDS = {
+    "run": ("run a benchmark and write CSVs", {}),
+    "verify": ("run the verification battery", {"workers": "worker threads (default: machine CPUs)"}),
+    "privacy": ("print the privacy table",
+                dict.fromkeys(("runs", "seed", "workers"), "accepted for run's command line; unused")),
+}
 
 
 @dataclass(frozen=True)
@@ -129,8 +161,8 @@ def _parse_floats(key: str, raw: str) -> tuple[float, ...]:
         raise UsageError(f"{key} must be a comma-separated list of numbers, got {raw!r}") from None
 
 
-def _parse_config_text(text: str) -> dict[str, str]:
-    """Flat `key = value` lines; '#' starts a comment; unknown keys rejected."""
+def _parse_config_text(text: str, command: str) -> dict[str, str]:
+    """Flat `key = value` lines, '#' comments; rejects keys the command does not read."""
     items: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -140,22 +172,18 @@ def _parse_config_text(text: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise UsageError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"config line {lineno}: unknown key {key!r}")
+        if key not in COMMAND_KEYS[command]:
+            raise UsageError(f"config line {lineno}: {command} reads no key {key!r}")
         items[key] = value
     return items
-
-
-def _flag_items(ns: argparse.Namespace) -> dict[str, str]:
-    pairs = {key: getattr(ns, key.replace("-", "_")) for key in _CONFIG_KEYS}
-    return {k: v for k, v in pairs.items() if v is not None}
 
 
 def _merge_items(ns: argparse.Namespace) -> dict[str, str]:
     file_items: dict[str, str] = {}
     if ns.config is not None:
-        file_items = _parse_config_text(Path(ns.config).read_text())
-    flag_items = _flag_items(ns)
+        file_items = _parse_config_text(Path(ns.config).read_text(), ns.command)
+    flags = {key: getattr(ns, key.replace("-", "_")) for key in COMMAND_KEYS[ns.command]}
+    flag_items = {k: v for k, v in flags.items() if v is not None}
     preset = flag_items.pop("preset", None) or file_items.pop("preset", None)
     merged = dict(DEFAULTS)
     if preset is not None:
@@ -231,12 +259,12 @@ def parse_config(argv: list[str]) -> CliConfig:
 
 
 def config_items(cfg: CliConfig) -> dict[str, str]:
-    """Serialize back to the flat key-value form; re-parsing these items
-    reproduces the CliConfig exactly (preset expansion is idempotent)."""
+    """The settings its command reads, in the flat key-value form; re-parsing
+    them reproduces the CliConfig exactly (preset expansion is idempotent)."""
     def fmt(x: float) -> str:
         return format(float(x), ".17g")
 
-    return {
+    items = {
         "means": ",".join(fmt(m) for m in cfg.means),
         "T": str(cfg.horizon),
         "alpha": ",".join(fmt(a) for a in cfg.alphas),
@@ -251,33 +279,19 @@ def config_items(cfg: CliConfig) -> dict[str, str]:
         "trials": str(cfg.trials),
         "checks": ",".join(cfg.checks),
     }
+    return {k: v for k, v in items.items() if k in COMMAND_KEYS[cfg.command]}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="flat key = value settings file")
-    shared.add_argument("--preset", help=f"one of {sorted(PRESETS)}")
-    shared.add_argument("--means", help="comma-separated arm means in [0, 1]")
-    shared.add_argument("--T", help="horizon (rounds per run)")
-    shared.add_argument("--alpha", help="comma-separated privacy exponents in [0, 1]")
-    shared.add_argument("--policies", help=f"comma-separated subset of {list(POLICY_NAMES)}")
-    shared.add_argument("--b", help="pre-pull count for m-ts-gaussian, or 'paper'")
-    shared.add_argument("--c", help="variance scale for m-ts-gaussian, 'match' or 'regret'")
-    shared.add_argument("--runs", help="independent runs per policy")
-    shared.add_argument("--seed", help="base seed; every (policy, run) derives substreams")
-    shared.add_argument("--out", help="output directory")
-    shared.add_argument("--eps-grid", help="comma-separated epsilons for privacy.csv")
-    shared.add_argument("--workers", help="processes for run, threads for verify (default: machine CPUs)")
-    shared.add_argument("--trials", help="Monte-Carlo trials per verification check")
-    shared.add_argument("--checks", help=f"'all' or comma-separated subset of {list(BATTERY_CHECKS)}")
     parser = argparse.ArgumentParser(
         prog="dpbandits",
         description="Privacy-aware stochastic bandit benchmarks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("run", parents=[shared], help="run a benchmark and write CSVs")
-    sub.add_parser("verify", parents=[shared], help="run the verification battery")
-    sub.add_parser("privacy", parents=[shared], help="print the privacy table")
+    for command, (summary, helps) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=summary)
+        for key in ("config", *COMMAND_KEYS[command]):
+            cmd.add_argument(f"--{key}", help={**_HELP, **helps}[key])
     return parser
 
 
@@ -397,8 +411,7 @@ def _cmd_privacy(cfg: CliConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = write_privacy_csv(policies, out / "privacy.csv", cfg.eps_grid)
     header = ["policy", "alpha", "T", "eta", "epsilon", "delta"]
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(header)]
+    widths = [max([len(h), *(len(r[i]) for r in rows)]) for i, h in enumerate(header)]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     for row in rows:
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
@@ -412,11 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         cfg = _resolve(ns.command, _merge_items(ns))
-        if ns.command == "run":
-            return _cmd_run(cfg)
-        if ns.command == "verify":
-            return _cmd_verify(cfg)
-        return _cmd_privacy(cfg)
+        return {"run": _cmd_run, "verify": _cmd_verify, "privacy": _cmd_privacy}[ns.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

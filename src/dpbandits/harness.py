@@ -201,19 +201,25 @@ def _aggregate(spec: ExperimentSpec, runs: list[RunResult]) -> tuple[AggregateRe
     return tuple(out)
 
 
-def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentResult:
-    """All (policy, run) pairs; results are identical for every worker count
-    because each run owns its streams and aggregation happens in task order."""
+def _pool_size(workers: int | None, n_tasks: int) -> int:
+    """`workers` (None: machine CPUs; must be >= 1) capped at n_tasks, as pools
+    start every worker they are given."""
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, n_tasks)
+
+
+def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentResult:
+    """All (policy, run) pairs; results are identical for every worker count
+    because each run owns its streams and aggregation happens in task order."""
     tasks = [
         (spec, position, run)
         for position in range(len(spec.policies))
         for run in range(spec.n_runs)
     ]
-    workers = min(workers, len(tasks))  # the pool starts every worker it is given
+    workers = _pool_size(workers, len(tasks))
     if workers == 1:
         runs = [_run_task(t) for t in tasks]
     else:

@@ -147,10 +147,7 @@ class DpPoint:
 
 
 def _eta_value(eta) -> float:
-    value = eta.eta if isinstance(eta, GdpParam) else float(eta)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"eta must be finite and >= 0, got {eta}")
-    return value
+    return (eta if isinstance(eta, GdpParam) else GdpParam(eta)).eta
 
 
 def tradeoff_G(eta, x: float) -> float:

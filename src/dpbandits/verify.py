@@ -14,13 +14,13 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .env import Purpose, RngStream
+from .harness import _pool_size
 from .policies import phi_budget
 from .privacy import _check_alpha, _check_horizon, std_normal_cdf, std_normal_logcdf
 
@@ -67,12 +67,7 @@ class McReport:
 
 def _report(name: str, estimate: float, trials: int, se: float, bound: float,
             direction: str = "le") -> McReport:
-    if direction == "le":
-        passed = estimate <= bound + 3.0 * se
-    elif direction == "ge":
-        passed = estimate >= bound - 3.0 * se
-    else:
-        raise ValueError(f"direction must be 'le' or 'ge', got {direction!r}")
+    passed = estimate <= bound + 3.0 * se if direction == "le" else estimate >= bound - 3.0 * se
     return McReport(name, float(estimate), int(trials), float(se), float(bound),
                     direction, bool(passed))
 
@@ -252,21 +247,17 @@ def default_battery(trials: int = 10**5, seed: int = 0, checks=BATTERY_CHECKS,
                     workers: int | None = None) -> list[McReport]:
     """The standard verification battery, one deterministic substream per
     Monte-Carlo check.  `checks` selects a subset by name; the closed-form
-    checks consume no randomness at all.  The checks run on `workers`
-    threads (default: machine CPUs); numpy draws with the GIL released, and
-    reports come back in listing order, so they are identical for every
-    worker count.
+    checks consume no randomness and run in the calling thread.  The
+    Monte-Carlo checks run on `workers` threads (default: machine CPUs);
+    numpy draws with the GIL released, and reports come back in listing
+    order, so they are identical for every worker count.
     """
     checks = tuple(checks)
     unknown = [c for c in checks if c not in BATTERY_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; valid: {list(BATTERY_CHECKS)}")
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     root = RngStream(seed, (Purpose.TRIAL,))
-    tasks = []  # each returns one McReport or a list of them
+    tasks = []  # a closed-form McReport, or a Monte-Carlo check that returns one
     if "boost" in checks:
         grid = itertools.product((0.0, 1.0), (10**3, 10**4), (1, 4, 16))
         for i, (alpha, horizon, s) in enumerate(grid):
@@ -285,20 +276,16 @@ def default_battery(trials: int = 10**5, seed: int = 0, checks=BATTERY_CHECKS,
                     stream=root.child(1, 3))
         )
     if "gaussian-facts" in checks:
-        tasks.append(check_gaussian_tail_facts)
+        tasks.extend(check_gaussian_tail_facts())
     if "log-inequality" in checks:
-        tasks.append(lambda: _report("log-inequality", log_inequality_margin(), 0, 0.0, 0.0, "le"))
+        tasks.append(_report("log-inequality", log_inequality_margin(), 0, 0.0, 0.0, "le"))
     if "hoeffding" in checks:
         grid = ((10, 0.1), (10, 0.3), (100, 0.1), (100, 0.2))
         for i, (n, a) in enumerate(grid):
             tasks.append(partial(mc_hoeffding, n, a, 0.5, trials, stream=root.child(2, i)))
-    workers = min(workers, len(tasks))
+    workers = _pool_size(workers, sum(map(callable, tasks)))
     if workers <= 1:
-        outputs = [t() for t in tasks]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(lambda t: t(), tasks))
-    reports: list[McReport] = []
-    for out in outputs:
-        reports.extend(out if isinstance(out, list) else [out])
-    return reports
+        return [t() if callable(t) else t for t in tasks]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        done = pool.map(lambda t: t(), filter(callable, tasks))
+        return [next(done) if callable(t) else t for t in tasks]

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from dpbandits.cli import (
+    COMMAND_KEYS,
     CliConfig,
     PAPER_BEST_B,
     PRESETS,
@@ -62,13 +63,15 @@ def test_preset_fig4_uses_the_regret_recipe():
     assert variants[3] == MTsGaussianConfig(0, 5.0 * math.log(10**6))
 
 
-def test_all_presets_resolve_for_every_command():
+def test_all_presets_resolve_for_every_command(capsys):
     for preset in PRESETS:
-        for command in ("run", "verify", "privacy"):
+        for command in ("run", "privacy"):
             cfg = parse_config([command, "--preset", preset])
             assert cfg.command == command
             if preset != "paper-fig5":  # fig5 needs b='paper' per-alpha lookup
                 assert expand_policies(cfg)
+        assert main(["verify", "--preset", preset]) == 2  # verify reads no experiment keys
+    capsys.readouterr()
 
 
 def test_out_of_range_alpha_is_a_usage_error():
@@ -81,28 +84,75 @@ def test_out_of_range_alpha_is_a_usage_error():
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--policies", "bogus"],
-        ["--policies", ""],
-        ["--b", "-1"],
-        ["--b", "two"],
-        ["--c", "nope"],
-        ["--c", "-3"],
-        ["--c", "0"],
-        ["--eps-grid", "0,-1"],
-        ["--workers", "0"],
-        ["--trials", "100"],
-        ["--checks", "boost,bogus"],
-        ["--runs", "0"],
-        ["--T", "0"],
-        ["--preset", "bogus"],
-        ["--means", ""],
-        ["--means", "0.5,abc"],
-        ["--seed", "-1"],
+        ["run", "--policies", "bogus"],
+        ["run", "--policies", ""],
+        ["run", "--b", "-1"],
+        ["run", "--b", "two"],
+        ["run", "--c", "nope"],
+        ["run", "--c", "-3"],
+        ["run", "--c", "0"],
+        ["run", "--eps-grid", "0,-1"],
+        ["run", "--workers", "0"],
+        ["verify", "--trials", "100"],
+        ["verify", "--checks", "boost,bogus"],
+        ["run", "--runs", "0"],
+        ["run", "--T", "0"],
+        ["run", "--preset", "bogus"],
+        ["run", "--means", ""],
+        ["run", "--means", "0.5,abc"],
+        ["run", "--seed", "-1"],
     ],
 )
 def test_bad_values_raise_usage_errors(flags):
     with pytest.raises(UsageError):
-        parse_config(["run"] + flags)
+        parse_config(flags)
+
+
+#: a valid value for every flag some command does not take
+_VALUES = {"--trials": "20000", "--checks": "boost", "--preset": "paper-fig3",
+           "--means": "0.9,0.1", "--T": "1000", "--alpha": "1", "--policies": "ucb1",
+           "--b": "1", "--c": "2", "--runs": "1", "--out": "elsewhere", "--eps-grid": "1"}
+
+#: the (command, flag) pairs outside each command's settings
+_FOREIGN_FLAGS = [
+    *((command, flag) for command in ("run", "privacy") for flag in ("--trials", "--checks")),
+    *(("verify", flag) for flag in ("--preset", "--means", "--T", "--alpha", "--policies",
+                                    "--b", "--c", "--runs", "--out", "--eps-grid")),
+]
+
+
+def test_each_command_takes_only_the_settings_it_reads():
+    experiment = ("preset", "means", "T", "alpha", "policies", "b", "c", "runs", "seed",
+                  "out", "eps-grid", "workers")
+    assert COMMAND_KEYS == {"run": experiment, "privacy": experiment,
+                            "verify": ("seed", "workers", "trials", "checks")}
+    assert len(_FOREIGN_FLAGS) == 14
+
+
+@pytest.mark.parametrize("command,flag", _FOREIGN_FLAGS)
+def test_a_flag_the_command_does_not_read_exits_two_and_writes_nothing(
+        command, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the default --out is relative
+    assert main([command, flag, _VALUES[flag], "--seed", "1"]) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command,line",
+    [("run", "trials = 20000"), ("privacy", "checks = boost"), ("verify", "T = 1000"),
+     ("verify", "preset = paper-fig3"), ("verify", "out = elsewhere")],
+)
+def test_a_config_key_the_command_does_not_read_exits_two(
+        command, line, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "settings.cfg"
+    path.write_text(f"seed = 1\n{line}\n")
+    with pytest.raises(UsageError, match=f"{command} reads no key"):
+        parse_config([command, "--config", str(path)])
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_config_file_sits_between_preset_and_flags(tmp_path):
@@ -152,6 +202,23 @@ def test_config_items_roundtrip_is_exact(tmp_path):
         path.write_text("".join(f"{k} = {v}\n" for k, v in config_items(cfg).items()))
         again = parse_config([argv[0], "--config", str(path)])
         assert again == cfg
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--preset", "paper-fig4", "--runs", "3", "--workers", "2", "--out", "r"],
+        ["verify", "--trials", "20000", "--checks", "hoeffding", "--workers", "2"],
+        ["privacy", "--preset", "paper-fig5", "--seed", "4", "--eps-grid", "0.25"],
+    ],
+)
+def test_config_items_hold_exactly_the_command_settings(argv, tmp_path):
+    cfg = parse_config(argv)
+    items = config_items(cfg)
+    assert tuple(items) == tuple(k for k in COMMAND_KEYS[argv[0]] if k != "preset")
+    path = tmp_path / "items.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in items.items()))
+    assert parse_config([argv[0], "--config", str(path)]) == cfg
 
 
 def test_preset_expansion_is_idempotent(tmp_path):
@@ -288,6 +355,18 @@ def test_privacy_command_prints_and_writes_the_table(tmp_path, capsys):
     with (out / "privacy.csv").open(newline="") as handle:
         rows = list(csv.reader(handle))
     assert len(rows) == 1 + 2 * 4  # two guaranteed policies x default eps grid
+
+
+def test_privacy_on_a_run_command_line_writes_the_run_privacy_table(tmp_path, capsys):
+    # the benchmark checks a run by calling privacy with the run's own flags
+    flags = ["--preset", "paper-fig5", "--policies", "dp-ts-ucb,m-ts-gaussian,ts-gaussian,ucb1",
+             "--T", "12000", "--runs", "1", "--workers", "1", "--seed", "5"]
+    assert main(["run", *flags, "--out", str(tmp_path / "run")]) == 0
+    assert main(["privacy", *flags, "--out", str(tmp_path / "privacy")]) == 0
+    capsys.readouterr()
+    table = (tmp_path / "run" / "privacy.csv").read_bytes()
+    assert (tmp_path / "privacy" / "privacy.csv").read_bytes() == table
+    assert table.count(b"\n") == 1 + 5 * 4  # five guaranteed configurations x four epsilons
 
 
 def test_usage_errors_exit_two(capsys):

@@ -52,7 +52,7 @@ def _produce(case: str, out: Path) -> dict[str, bytes]:
     argv, files, keep_stdout = CASES[case]
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = main([*argv, "--out", str(out)])
+        code = main([*argv, "--out", str(out)] if files else argv)
     assert code == 0, f"{case}: exit code {code}"
     produced = {name: (out / name).read_bytes() for name in files}
     if keep_stdout:

@@ -1,8 +1,10 @@
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
+from dpbandits import verify
 from dpbandits.env import Purpose, RngStream
 from dpbandits.policies import phi_budget
 from dpbandits.privacy import std_normal_cdf, std_normal_quantile
@@ -332,3 +334,33 @@ def test_default_battery_reports_do_not_depend_on_the_worker_count():
 def test_default_battery_rejects_a_zero_worker_count():
     with pytest.raises(ValueError):
         default_battery(MIN_TRIALS, workers=0)
+
+
+def test_a_battery_without_monte_carlo_checks_starts_no_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the closed-form checks started a thread pool")
+
+    monkeypatch.setattr(verify.concurrent.futures, "ThreadPoolExecutor", no_pool)
+    reports = default_battery(MIN_TRIALS, checks=("gaussian-facts", "log-inequality"), workers=4)
+    assert reports == check_gaussian_tail_facts() + [reports[-1]]
+    assert reports[-1].name == "log-inequality" and len(reports) == 13
+    with pytest.raises(AssertionError, match="thread pool"):
+        default_battery(MIN_TRIALS, checks=("hoeffding",), workers=2)
+
+
+def test_the_thread_pool_is_never_larger_than_the_monte_carlo_task_list(monkeypatch):
+    sizes = []
+
+    class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(verify.concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
+    # four inverse-prob tasks; the 13 closed-form reports take no thread
+    checks = ("inverse-prob", "gaussian-facts", "log-inequality")
+    pooled = default_battery(MIN_TRIALS, checks=checks, workers=8)
+    assert sizes == [4]
+    assert pooled == default_battery(MIN_TRIALS, checks=checks, workers=1)
+    assert sizes == [4]
+    assert [r.trials > 0 for r in pooled] == [True] * 4 + [False] * 13
