@@ -23,7 +23,7 @@ from .harness import ExperimentResult, ExperimentSpec, run_experiment, write_csv
 from .harness import _open_writer, write_privacy_csv
 from .policies import VARIANTS, DpTsUcbConfig, MTsGaussianConfig, PolicyConfig, Variant
 from .privacy import match_c, policy_gdp
-from .verify import BATTERY_CHECKS, McReport, default_battery
+from .verify import BATTERY_CHECKS, MIN_TRIALS, McReport, default_battery
 
 __all__ = ["CliConfig", "UsageError", "config_items", "main", "parse_config"]
 
@@ -247,14 +247,14 @@ def _resolve(command: str, items: dict[str, str]) -> CliConfig:
         out=items["out"],
         eps_grid=eps_grid,
         workers=workers,
-        trials=_parse_int("trials", items["trials"], 10**4),
+        trials=_parse_int("trials", items["trials"], MIN_TRIALS),
         checks=checks,
     )
 
 
 def parse_config(argv: list[str]) -> CliConfig:
     """Resolve argv (plus any --config file and --preset) into a CliConfig."""
-    ns = _build_parser().parse_args(argv)
+    ns = _parse_args(argv)
     return _resolve(ns.command, _merge_items(ns))
 
 
@@ -282,17 +282,24 @@ def config_items(cfg: CliConfig) -> dict[str, str]:
     return {k: v for k, v in items.items() if k in COMMAND_KEYS[cfg.command]}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv with whole flag names only; a flag the command does not take
+    is reported with that command's usage line (argparse exits with 2)."""
     parser = argparse.ArgumentParser(
         prog="dpbandits",
         description="Privacy-aware stochastic bandit benchmarks",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for command, (summary, helps) in _COMMANDS.items():
-        cmd = sub.add_parser(command, help=summary)
+        commands[command] = cmd = sub.add_parser(command, help=summary, allow_abbrev=False)
         for key in ("config", *COMMAND_KEYS[command]):
             cmd.add_argument(f"--{key}", help={**_HELP, **helps}[key])
-    return parser
+    ns, unknown = parser.parse_known_args(argv)
+    if unknown:
+        commands[ns.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +427,7 @@ def _cmd_privacy(cfg: CliConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _parse_args(argv)
     except SystemExit as exc:  # argparse handles --help (0) and bad flags (2)
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -6,7 +6,7 @@ import concurrent.futures
 import contextlib
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,7 @@ class ExperimentSpec:
     horizon: int
     n_runs: int
     base_seed: int = 0
-    checkpoints: tuple[int, ...] | None = None
+    checkpoints: tuple[int, ...] = field(init=False)  # default_checkpoints(T, K)
 
     def __post_init__(self) -> None:
         policies = tuple(self.policies)
@@ -69,20 +69,10 @@ class ExperimentSpec:
             cfg.validate_for(self.instance.n_arms)
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
-        cps = self.checkpoints
-        if cps is None:
-            cps = default_checkpoints(self.horizon, self.instance.n_arms)
-        cps = tuple(int(c) for c in cps)
-        if not cps:
-            raise ValueError("checkpoints must not be empty")
-        if any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ValueError(f"checkpoints must be strictly increasing, got {cps}")
-        if cps[0] < 1 or cps[-1] != self.horizon:
-            raise ValueError(
-                f"checkpoints must lie in [1, T] and end at T={self.horizon}, got {cps}"
-            )
         object.__setattr__(self, "policies", policies)
-        object.__setattr__(self, "checkpoints", cps)
+        object.__setattr__(
+            self, "checkpoints", default_checkpoints(self.horizon, self.instance.n_arms)
+        )
 
 
 @dataclass(frozen=True)

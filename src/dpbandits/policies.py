@@ -199,11 +199,32 @@ class PolicyConfig:
 
 class Policy:
     """Sequential contract: for t = 1..T call select(t), then feed the pulled
-    arm's reward back through update(arm, reward)."""
+    arm's reward back through update(arm, reward).
 
-    n_arms: int
+    The first `init_rounds` selections pull the arms round-robin; `update`
+    counts them off on `_init_cursor`.  Every later round, `_round(t)` writes
+    one value per arm into `_theta` (a fresh or reused model, or an index) and
+    returns the arm to pull.  A subclass writes `_round` and `update`."""
+
+    def __init__(self, n_arms: int, init_rounds: int) -> None:
+        self.n_arms = int(n_arms)
+        self._init_rounds = init_rounds
+        self._init_cursor = 0
+        self._mu_hat = np.zeros(self.n_arms, dtype=np.float64)
+        self._theta = np.empty(self.n_arms, dtype=np.float64)
 
     def select(self, t: int) -> int:
+        if self._init_cursor < self._init_rounds:
+            return self._init_cursor % self.n_arms
+        return self._round(t)
+
+    def select_with_models(self, t: int) -> tuple[int, np.ndarray]:
+        """One post-initialization round; returns (arm, per-arm values)."""
+        if self._init_cursor < self._init_rounds:
+            raise RuntimeError("initialization rounds are not finished")
+        return self._round(t), self._theta.copy()
+
+    def _round(self, t: int) -> int:
         raise NotImplementedError
 
     def update(self, arm: int, reward: float) -> None:
@@ -238,7 +259,8 @@ class DpTsUcbPolicy(Policy):
     this epoch.  The arm with the largest model is pulled.  Rewards accumulate
     in a pending buffer; once an arm's epoch has 2^r of them, the mean
     estimate is replaced by the buffer mean, the budget refills and the epoch
-    max resets.
+    max resets.  Every arm with budget left spends one fresh draw each round,
+    whether or not it ends up pulled.
 
     A round with a live arm makes exactly one `rng.normal(loc, scale)` call,
     one variate per live arm in arm order; a round without one leaves `rng`
@@ -254,7 +276,7 @@ class DpTsUcbPolicy(Policy):
         alpha: float,
         rng: np.random.Generator,
     ) -> None:
-        self.n_arms = int(n_arms)
+        super().__init__(n_arms, n_arms)
         self.horizon = _check_horizon(horizon)
         self.alpha = _check_alpha(alpha)
         self.phi = phi_budget(alpha, horizon)
@@ -262,20 +284,17 @@ class DpTsUcbPolicy(Policy):
         # ln(T)^alpha is fixed for the whole run; evaluate it once.
         self._ln_pow = math.log(float(horizon)) ** self.alpha
         k = self.n_arms
-        self._init_cursor = 0
         self._epoch = [1] * k  # an arm in epoch r has n = 2^(r-1) observations
         self._unprocessed = [0] * k
         self._pending = [0.0] * k
         self._rounds = 0  # post-initialization rounds selected so far
         self._expiry = [self.phi] * k  # the round count at which the budget is spent
-        self._mu_hat = np.zeros(k, dtype=np.float64)
         self._scale = np.full(k, math.sqrt(self._ln_pow), dtype=np.float64)
         self._max_model = np.full(k, -math.inf, dtype=np.float64)
         # The live-arm cache, rebuilt by _refresh once _rounds reaches
         # _stale_at: the arms that draw (None for none), the normal()
         # arguments, and the argmax when no arm draws.  _theta holds the
         # epoch max of every arm that does not draw.
-        self._theta = np.empty(k, dtype=np.float64)
         self._stale_at = 0
         self._live: slice | np.ndarray | None = None
         self._live_loc = self._live_scale = self._mu_hat
@@ -293,23 +312,7 @@ class DpTsUcbPolicy(Policy):
             pending_sum=self._pending[arm],
         )
 
-    def select(self, t: int) -> int:
-        if self._init_cursor < self.n_arms:
-            return self._init_cursor
-        return self._round()
-
-    def select_with_models(self, t: int) -> tuple[int, np.ndarray]:
-        """One post-initialization round; returns (arm, per-arm models).
-
-        Mutates budgets and epoch maxes: every arm with budget left consumes
-        one fresh draw this round whether or not it ends up pulled.
-        """
-        if self._init_cursor < self.n_arms:
-            raise RuntimeError("initialization rounds are not finished")
-        arm = self._round()
-        return arm, self._theta.copy()
-
-    def _round(self) -> int:
+    def _round(self, t: int) -> int:
         if self._rounds >= self._stale_at:
             self._refresh()
         self._rounds += 1
@@ -339,7 +342,7 @@ class DpTsUcbPolicy(Policy):
             self._live_scale = self._scale[self._live]
 
     def update(self, arm: int, reward: float) -> None:
-        if self._init_cursor < self.n_arms:
+        if self._init_cursor < self._init_rounds:
             # round-robin initialization: the single pull seeds mu_hat, n=1
             self._mu_hat[arm] = reward
             self._init_cursor += 1
@@ -371,34 +374,18 @@ class GaussianThompsonPolicy(Policy):
     would return at the same point of the stream."""
 
     def __init__(self, n_arms: int, rng: np.random.Generator, b: int = 0, c: float = 1.0) -> None:
-        self.n_arms = int(n_arms)
+        super().__init__(n_arms, (int(b) + 1) * int(n_arms))
         self.b = int(b)
         self.c = float(c)
         self._rng = rng
-        self._init_total = (self.b + 1) * self.n_arms
-        self._init_cursor = 0
         self._n = [0] * self.n_arms
         self._mu = [0.0] * self.n_arms
-        self._mu_hat = np.zeros(self.n_arms, dtype=np.float64)
         self._scale = np.zeros(self.n_arms, dtype=np.float64)
-        self._theta = np.empty(self.n_arms, dtype=np.float64)
         self._block_rows = max(1, BLOCK_SIZE // self.n_arms)
         self._noise = np.empty((0, self.n_arms))
         self._row = self._block_rows
 
-    def select(self, t: int) -> int:
-        if self._init_cursor < self._init_total:
-            return self._init_cursor % self.n_arms
-        return self._round()
-
-    def select_with_models(self, t: int) -> tuple[int, np.ndarray]:
-        """One post-initialization round; returns (arm, per-arm models)."""
-        if self._init_cursor < self._init_total:
-            raise RuntimeError("initialization rounds are not finished")
-        arm = self._round()
-        return arm, self._theta.copy()
-
-    def _round(self) -> int:
+    def _round(self, t: int) -> int:
         row = self._row
         if row == self._block_rows:
             self._noise = self._rng.standard_normal((self._block_rows, self.n_arms))
@@ -409,7 +396,7 @@ class GaussianThompsonPolicy(Policy):
         return int(theta.argmax())
 
     def update(self, arm: int, reward: float) -> None:
-        if self._init_cursor < self._init_total:
+        if self._init_cursor < self._init_rounds:
             self._init_cursor += 1
         n = self._n[arm] + 1
         self._n[arm] = n
@@ -424,24 +411,19 @@ class Ucb1Policy(Policy):
     """UCB1: pull argmax of mu_hat_i + sqrt(2 ln t / n_i) after one pull each."""
 
     def __init__(self, n_arms: int) -> None:
-        self.n_arms = int(n_arms)
-        self._init_cursor = 0
+        super().__init__(n_arms, n_arms)
         self._counts = [0] * self.n_arms
         self._mu = [0.0] * self.n_arms
         self._n = np.zeros(self.n_arms, dtype=np.float64)
-        self._mu_hat = np.zeros(self.n_arms, dtype=np.float64)
-        self._index = np.empty(self.n_arms, dtype=np.float64)
 
-    def select(self, t: int) -> int:
-        if self._init_cursor < self.n_arms:
-            return self._init_cursor
-        index = np.divide(2.0 * math.log(t), self._n, out=self._index)
+    def _round(self, t: int) -> int:
+        index = np.divide(2.0 * math.log(t), self._n, out=self._theta)
         np.sqrt(index, out=index)
         index += self._mu_hat
         return int(index.argmax())
 
     def update(self, arm: int, reward: float) -> None:
-        if self._init_cursor < self.n_arms:
+        if self._init_cursor < self._init_rounds:
             self._init_cursor += 1
         n = self._counts[arm] + 1
         self._counts[arm] = n

@@ -134,7 +134,22 @@ def test_a_flag_the_command_does_not_read_exits_two_and_writes_nothing(
         command, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the default --out is relative
     assert main([command, flag, _VALUES[flag], "--seed", "1"]) == 2
-    assert "usage:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"usage: dpbandits {command} " in err  # the command's own flag list
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["privacy", "--work", "2", "--pol", "ucb1"], ["verify", "--tri", "20000"]]
+)
+def test_an_abbreviated_flag_exits_two_and_writes_nothing(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        parse_config(argv)
+    assert exc.value.code == 2
+    assert main(argv) == 2
+    assert f"usage: dpbandits {argv[0]} " in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

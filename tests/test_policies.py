@@ -116,6 +116,20 @@ def test_select_with_models_refuses_to_run_during_initialization():
     policy.update(0, 1.0)
     with pytest.raises(RuntimeError):
         policy.select_with_models(2)
+    # every variant on 5 arms: the first init_rounds(5) selections go
+    # round-robin, and select_with_models refuses until exactly that many
+    # rewards have been fed
+    k = 5
+    for name in VARIANTS:
+        variant = VARIANT_CASES[name][0]
+        policy = make_policy(PolicyConfig(variant, 1000), k, RngStream(0).generator())
+        for i in range(variant.init_rounds(k)):
+            with pytest.raises(RuntimeError):
+                policy.select_with_models(i + 1)
+            assert policy.select(i + 1) == i % k, (name, i)
+            policy.update(i % k, 0.5)
+        arm, theta = policy.select_with_models(variant.init_rounds(k) + 1)
+        assert 0 <= arm < k and theta.shape == (k,), name
 
 
 def test_fresh_draws_match_a_twin_generator_bit_for_bit():
@@ -394,6 +408,9 @@ def test_ucb1_index_is_the_mean_plus_exploration_bonus():
     # at t=20 the bonus outweighs the gap in means: [2.45, 1.82]
     index = [sum(r) / len(r) + math.sqrt(2.0 * math.log(20.0) / len(r)) for r in fed]
     assert policy.select(20) == int(np.argmax(index)) == 0
+    # the same index, as the policy's own numpy operations give it
+    bonus = np.sqrt(np.divide(2.0 * math.log(20), np.array([1.0, 9.0])))
+    assert np.array_equal(policy.select_with_models(20)[1], bonus + np.array([0.0, 1.0]))
 
 
 def test_ucb1_breaks_ties_toward_the_lowest_arm():
