@@ -204,7 +204,9 @@ class Policy:
     The first `init_rounds` selections pull the arms round-robin; `update`
     counts them off on `_init_cursor`.  Every later round, `_round(t)` writes
     one value per arm into `_theta` (a fresh or reused model, or an index) and
-    returns the arm to pull.  A subclass writes `_round` and `update`."""
+    returns the arm to pull.  A subclass writes `_round` and `update`; one
+    that estimates each arm by the running mean of all its rewards feeds them
+    through `_observe`."""
 
     def __init__(self, n_arms: int, init_rounds: int) -> None:
         self.n_arms = int(n_arms)
@@ -212,6 +214,8 @@ class Policy:
         self._init_cursor = 0
         self._mu_hat = np.zeros(self.n_arms, dtype=np.float64)
         self._theta = np.empty(self.n_arms, dtype=np.float64)
+        self._counts = [0] * self.n_arms
+        self._mu = [0.0] * self.n_arms
 
     def select(self, t: int) -> int:
         if self._init_cursor < self._init_rounds:
@@ -230,6 +234,20 @@ class Policy:
     def update(self, arm: int, reward: float) -> None:
         raise NotImplementedError
 
+    def _observe(self, arm: int, reward: float) -> int:
+        """Count one reward off the initialization rounds, if any are left,
+        and fold it into the arm's count and running mean (mirrored into
+        `_mu_hat`); returns the new count."""
+        if self._init_cursor < self._init_rounds:
+            self._init_cursor += 1
+        n = self._counts[arm] + 1
+        self._counts[arm] = n
+        mu = self._mu[arm]
+        mu += (reward - mu) / n
+        self._mu[arm] = mu
+        self._mu_hat[arm] = mu
+        return n
+
 
 @dataclass(frozen=True)
 class ArmState:
@@ -238,7 +256,8 @@ class ArmState:
     n observations back the current mean estimate; `unprocessed` rewards (and
     their `pending_sum`) wait for the epoch to complete, which happens after
     exactly 2^epoch of them; `budget` fresh draws remain before the policy
-    falls back to reusing `max_model`.
+    falls back to reusing `max_model`; `fresh_draws` models the arm has drawn
+    over the whole run.
     """
 
     n: int
@@ -248,6 +267,14 @@ class ArmState:
     budget: int
     max_model: float
     pending_sum: float
+    fresh_draws: int
+
+
+#: Live sets of at most FEW arms draw one scalar `rng.normal(loc, scale)` per
+#: arm; larger ones make one call on arrays.  A scalar call costs about 0.7 µs
+#: and the array call about 8 µs whatever its length (numpy 2.4, Python 3.11,
+#: a 2-vCPU VM), so the break-even is about 11 live arms.
+FEW = 8
 
 
 class DpTsUcbPolicy(Policy):
@@ -262,11 +289,12 @@ class DpTsUcbPolicy(Policy):
     max resets.  Every arm with budget left spends one fresh draw each round,
     whether or not it ends up pulled.
 
-    A round with a live arm makes exactly one `rng.normal(loc, scale)` call,
-    one variate per live arm in arm order; a round without one leaves `rng`
+    Every round draws one variate per live arm from `rng.normal(loc, scale)`,
+    in arm order: one scalar call per arm when at most FEW arms are live, one
+    call on arrays otherwise.  A round without a live arm leaves `rng`
     untouched.  Budgets are not counted down round by round: an arm's budget
-    is `expiry - rounds`, so the live set, and the arguments of that call, are
-    rebuilt only when an epoch closes or a budget runs out.
+    is `expiry - rounds`, so the live set and the draw arguments are rebuilt
+    only when an epoch closes or a budget runs out.
     """
 
     def __init__(
@@ -289,16 +317,24 @@ class DpTsUcbPolicy(Policy):
         self._pending = [0.0] * k
         self._rounds = 0  # post-initialization rounds selected so far
         self._expiry = [self.phi] * k  # the round count at which the budget is spent
+        self._closed_draws = [0] * k  # fresh draws of the arm's closed epochs
         self._scale = np.full(k, math.sqrt(self._ln_pow), dtype=np.float64)
         self._max_model = np.full(k, -math.inf, dtype=np.float64)
+        # Python-float access to the per-arm scalar path's buffers
+        self._theta_view = memoryview(self._theta)
+        self._max_view = memoryview(self._max_model)
         # The live-arm cache, rebuilt by _refresh once _rounds reaches
-        # _stale_at: the arms that draw (None for none), the normal()
-        # arguments, and the argmax when no arm draws.  _theta holds the
-        # epoch max of every arm that does not draw.
+        # _stale_at.  At most FEW live arms: _draws holds (arm, loc, scale)
+        # for each, _live is None, and (_best, _top) is the first argmax of
+        # the other arms' epoch maxima (_top is -inf when every arm is live).
+        # More: _live indexes them and _live_loc/_live_scale are the normal()
+        # arguments.  _theta holds the epoch max of every arm that does not
+        # draw.
         self._stale_at = 0
+        self._draws: list[tuple[int, float, float]] = []
         self._live: slice | np.ndarray | None = None
         self._live_loc = self._live_scale = self._mu_hat
-        self._best = 0
+        self._best, self._top = -1, -math.inf
 
     def arm_state(self, arm: int) -> ArmState:
         """Inspection snapshot of one arm's bookkeeping."""
@@ -310,19 +346,37 @@ class DpTsUcbPolicy(Policy):
             budget=max(0, self._expiry[arm] - self._rounds),
             max_model=float(self._max_model[arm]),
             pending_sum=self._pending[arm],
+            fresh_draws=self._closed_draws[arm] + self._epoch_draws(arm),
         )
+
+    def _epoch_draws(self, arm: int) -> int:
+        """Fresh draws the arm has made in its current epoch."""
+        expiry = self._expiry[arm]
+        return min(self._rounds, expiry) - (expiry - self.phi)
 
     def _round(self, t: int) -> int:
         if self._rounds >= self._stale_at:
             self._refresh()
         self._rounds += 1
         live = self._live
-        if live is None:
+        if live is not None:
+            theta = self._theta
+            theta[live] = self._rng.normal(self._live_loc, self._live_scale)
+            np.maximum(self._max_model, theta, out=self._max_model)
+            return int(theta.argmax())
+        normal, theta, epoch_max = self._rng.normal, self._theta_view, self._max_view
+        best, top = -1, -math.inf
+        for arm, loc, scale in self._draws:
+            model = normal(loc, scale)
+            theta[arm] = model
+            if model > epoch_max[arm]:
+                epoch_max[arm] = model
+            if model > top:
+                best, top = arm, model
+        # numpy's argmax rule: on a tie the lower index wins
+        if self._top > top or (self._top == top and self._best < best):
             return self._best
-        theta = self._theta
-        theta[live] = self._rng.normal(self._live_loc, self._live_scale)
-        np.maximum(self._max_model, theta, out=self._max_model)
-        return int(theta.argmax())
+        return best
 
     def _refresh(self) -> None:
         """Rebuild the live-arm cache for the current round count."""
@@ -330,16 +384,18 @@ class DpTsUcbPolicy(Policy):
         live = [arm for arm, expiry in enumerate(self._expiry) if expiry > rounds]
         self._stale_at = min((self._expiry[arm] for arm in live), default=math.inf)
         np.copyto(self._theta, self._max_model)
-        if not live:
-            self._live = None
-            self._best = int(self._theta.argmax())
-        elif len(live) == self.n_arms:
-            self._live = slice(None)
-            self._live_loc, self._live_scale = self._mu_hat, self._scale
-        else:
-            self._live = np.array(live)
+        if len(live) > FEW:
+            self._live = slice(None) if len(live) == self.n_arms else np.array(live)
             self._live_loc = self._mu_hat[self._live]
             self._live_scale = self._scale[self._live]
+            return
+        self._live = None
+        self._draws = [(arm, float(self._mu_hat[arm]), float(self._scale[arm])) for arm in live]
+        maxes = self._theta.tolist()
+        for arm in live:
+            maxes[arm] = -math.inf
+        self._best = max(range(self.n_arms), key=maxes.__getitem__)
+        self._top = maxes[self._best]
 
     def update(self, arm: int, reward: float) -> None:
         if self._init_cursor < self._init_rounds:
@@ -360,6 +416,7 @@ class DpTsUcbPolicy(Policy):
         self._pending[arm] = 0.0
         self._unprocessed[arm] = 0
         self._epoch[arm] += 1
+        self._closed_draws[arm] += self._epoch_draws(arm)
         self._expiry[arm] = self._rounds + self.phi
         self._stale_at = self._rounds
 
@@ -378,8 +435,6 @@ class GaussianThompsonPolicy(Policy):
         self.b = int(b)
         self.c = float(c)
         self._rng = rng
-        self._n = [0] * self.n_arms
-        self._mu = [0.0] * self.n_arms
         self._scale = np.zeros(self.n_arms, dtype=np.float64)
         self._block_rows = max(1, BLOCK_SIZE // self.n_arms)
         self._noise = np.empty((0, self.n_arms))
@@ -396,15 +451,7 @@ class GaussianThompsonPolicy(Policy):
         return int(theta.argmax())
 
     def update(self, arm: int, reward: float) -> None:
-        if self._init_cursor < self._init_rounds:
-            self._init_cursor += 1
-        n = self._n[arm] + 1
-        self._n[arm] = n
-        mu = self._mu[arm]
-        mu += (reward - mu) / n
-        self._mu[arm] = mu
-        self._mu_hat[arm] = mu
-        self._scale[arm] = math.sqrt(self.c / n)
+        self._scale[arm] = math.sqrt(self.c / self._observe(arm, reward))
 
 
 class Ucb1Policy(Policy):
@@ -412,9 +459,7 @@ class Ucb1Policy(Policy):
 
     def __init__(self, n_arms: int) -> None:
         super().__init__(n_arms, n_arms)
-        self._counts = [0] * self.n_arms
-        self._mu = [0.0] * self.n_arms
-        self._n = np.zeros(self.n_arms, dtype=np.float64)
+        self._n = np.zeros(self.n_arms, dtype=np.float64)  # the counts, as divisors
 
     def _round(self, t: int) -> int:
         index = np.divide(2.0 * math.log(t), self._n, out=self._theta)
@@ -423,15 +468,7 @@ class Ucb1Policy(Policy):
         return int(index.argmax())
 
     def update(self, arm: int, reward: float) -> None:
-        if self._init_cursor < self._init_rounds:
-            self._init_cursor += 1
-        n = self._counts[arm] + 1
-        self._counts[arm] = n
-        self._n[arm] = n
-        mu = self._mu[arm]
-        mu += (reward - mu) / n
-        self._mu[arm] = mu
-        self._mu_hat[arm] = mu
+        self._n[arm] = self._observe(arm, reward)
 
 
 def make_policy(config: PolicyConfig, n_arms: int, rng: np.random.Generator) -> Policy:

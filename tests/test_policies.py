@@ -7,6 +7,7 @@ from dpbandits.cli import expand_policies, parse_config
 from dpbandits.env import BLOCK_SIZE, RngStream
 from dpbandits.policies import (
     BUDGET_SCALE,
+    FEW,
     VARIANTS,
     DpTsUcbConfig,
     DpTsUcbPolicy,
@@ -96,6 +97,7 @@ def test_dp_policy_initial_state():
         assert (s.n, s.mu_hat, s.epoch) == (1, 0.0, 1)
         assert (s.unprocessed, s.budget, s.pending_sum) == (0, 13, 0.0)
         assert s.max_model == -math.inf
+        assert s.fresh_draws == 0
 
 
 def test_dp_policy_round_robin_initialization():
@@ -301,7 +303,83 @@ def test_each_round_draws_one_variate_per_live_arm(n_arms, horizon, alpha):
                 spent_rounds += 1
                 assert repr(rng.bit_generator.state) == state
         policy.update(arm, float(rewards.random() < means[arm]))
+        assert sum(policy.arm_state(a).fresh_draws for a in range(n_arms)) == counter.draws
     assert (spent_rounds > 0) == (alpha == 1.0)
+
+
+def test_fresh_draws_count_every_epoch_of_the_run():
+    policy = _fresh_dp_policy()
+    policy.update(0, 1.0)
+    policy.update(1, 0.0)
+    _spend_rounds(policy, 5)
+    assert [policy.arm_state(a).fresh_draws for a in (0, 1)] == [5, 5]
+    for r in (1.0, 0.0):  # close arm 1's epoch after 5 of its 13 draws
+        policy.update(1, r)
+    assert policy.arm_state(1).fresh_draws == 5
+    _spend_rounds(policy, 20)  # both budgets run out
+    assert [policy.arm_state(a).fresh_draws for a in (0, 1)] == [13, 5 + 13]
+
+
+def _reusing_policy(n_arms, n_live, rng):
+    """K = n_arms at T=21, alpha=1 (phi=13) after every budget is spent and
+    the epochs of arms 0, 2, 4, ... (n_live of them) have closed, so exactly
+    those arms draw in the next round; the rest reuse their epoch max."""
+    policy = DpTsUcbPolicy(n_arms, 21, 1.0, rng)
+    for arm in range(n_arms):
+        policy.update(arm, arm / n_arms)
+    _spend_rounds(policy, 13)
+    live = list(range(0, 2 * n_live, 2))
+    for arm in live:
+        for r in (1.0, 0.0):
+            policy.update(arm, r)
+    return policy, live
+
+
+@pytest.mark.parametrize("n_live", [FEW, FEW + 1])
+def test_both_draw_paths_release_a_twin_generators_models(n_live):
+    n_arms = 2 * n_live + 1
+    policy, live = _reusing_policy(n_arms, n_live, RngStream(31).generator())
+    reused = [policy.arm_state(a).max_model for a in range(n_arms)]
+    twin = RngStream(31).generator()
+    twin.standard_normal(13 * n_arms)  # the rounds that spent the budgets
+    loc = np.full(n_live, 0.5)
+    scale = np.full(n_live, math.sqrt(math.log(21.0) / 2.0))
+    for t in (16, 17):
+        expected = np.array(reused)
+        expected[live] = twin.normal(loc, scale)
+        arm, theta = policy.select_with_models(t)
+        assert np.array_equal(theta, expected)
+        assert arm == int(np.argmax(expected))
+        reused = [max(r, m) for r, m in zip(reused, expected)]
+    assert [policy.arm_state(a).max_model for a in range(n_arms)] == reused
+
+
+class MeanOnly:
+    """A generator whose normal(loc, scale) returns loc, so models tie exactly."""
+
+    def normal(self, loc, scale):
+        return loc
+
+
+@pytest.mark.parametrize("n_arms", [FEW, FEW + 1])
+def test_tied_models_pull_the_lower_index_on_either_draw_path(n_arms):
+    policy = DpTsUcbPolicy(n_arms, 1000, 0.0, MeanOnly())
+    top = (1, n_arms - 1)
+    for arm in range(n_arms):
+        policy.update(arm, 0.9 if arm in top else 0.1)
+    assert policy.select(n_arms + 1) == 1
+
+
+def test_a_tie_between_a_reused_max_and_a_fresh_model_pulls_the_lower_index():
+    # arm 1's epoch max and the fresh model of arm 0 or 2 are both 0.5
+    for live, expected in ((0, 0), (2, 1)):
+        policy = DpTsUcbPolicy(3, 21, 1.0, MeanOnly())
+        for arm in range(3):
+            policy.update(arm, 0.5 if arm == 1 else 0.0)
+        _spend_rounds(policy, 13)
+        for r in (1.0, 0.0):  # the live arm's mean becomes 0.5
+            policy.update(live, r)
+        assert policy.select(16) == expected
 
 
 def test_alpha_zero_uses_unit_variance_models():
