@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .env import BanditInstance
-from .harness import ExperimentResult, ExperimentSpec, run_experiment, write_csv
+from .harness import PRIVACY_COLUMNS, ExperimentResult, ExperimentSpec, run_experiment, write_csv
 from .harness import _open_writer, write_privacy_csv
 from .policies import VARIANTS, DpTsUcbConfig, MTsGaussianConfig, PolicyConfig, Variant
 from .privacy import match_c, policy_gdp
@@ -222,8 +222,8 @@ def _resolve(command: str, items: dict[str, str]) -> CliConfig:
         if not (math.isfinite(c) and c > 0):
             raise UsageError(f"c must be positive and finite, got {c:g}")
     eps_grid = _parse_floats("eps-grid", items["eps-grid"])
-    if any(e < 0 for e in eps_grid):
-        raise UsageError("eps-grid values must be >= 0")
+    if not all(0 <= e < math.inf for e in eps_grid):  # also rejects NaN
+        raise UsageError(f"eps-grid values must be finite and >= 0, got {items['eps-grid']!r}")
     raw_workers = items["workers"].strip()
     workers = None if not raw_workers else _parse_int("workers", raw_workers, 1)
     raw_checks = items["checks"].strip()
@@ -370,7 +370,10 @@ def _summary_text(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def _cmd_run(cfg: CliConfig) -> int:
+def _experiment(cfg: CliConfig) -> ExperimentSpec:
+    """The experiment `cfg` describes, checked by the library, with cfg.out
+    created: a rejected setting (exit 2) or an unusable directory (exit 3)
+    fails before any work."""
     with _library_rejections_are_usage_errors():
         spec = ExperimentSpec(
             instance=BanditInstance(cfg.means),
@@ -379,7 +382,12 @@ def _cmd_run(cfg: CliConfig) -> int:
             n_runs=cfg.runs,
             base_seed=cfg.seed,
         )
-    result = run_experiment(spec, workers=cfg.workers)
+    Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    return spec
+
+
+def _cmd_run(cfg: CliConfig) -> int:
+    result = run_experiment(_experiment(cfg), workers=cfg.workers)
     write_csv(result, cfg.out, cfg.eps_grid)
     summary = _summary_text(result)
     with _open_writer(Path(cfg.out) / "summary.txt") as handle:
@@ -410,16 +418,9 @@ def _cmd_verify(cfg: CliConfig) -> int:
 
 
 def _cmd_privacy(cfg: CliConfig) -> int:
-    with _library_rejections_are_usage_errors():
-        policies = expand_policies(cfg)
-        for policy in policies:
-            policy.validate_for(len(cfg.means))
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = write_privacy_csv(policies, out / "privacy.csv", cfg.eps_grid)
-    header = ["policy", "alpha", "T", "eta", "epsilon", "delta"]
-    widths = [max([len(h), *(len(r[i]) for r in rows)]) for i, h in enumerate(header)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+    rows = write_privacy_csv(_experiment(cfg).policies, Path(cfg.out) / "privacy.csv", cfg.eps_grid)
+    widths = [max([len(h), *(len(r[i]) for r in rows)]) for i, h in enumerate(PRIVACY_COLUMNS)]
+    print("  ".join(h.ljust(w) for h, w in zip(PRIVACY_COLUMNS, widths)))
     for row in rows:
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
     return 0

@@ -25,8 +25,6 @@ class Purpose(enum.IntEnum):
     TRIAL = 2
 
 
-_MASK64 = (1 << 64) - 1
-
 #: Random values the round loops draw from a generator per call.  Block draws
 #: give the same values as one-at-a-time calls; this bounds the buffers at
 #: 32 KiB whatever the horizon.
@@ -47,18 +45,18 @@ class RngStream:
     key: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        key = tuple(int(k) for k in self.key)
-        if any(k < 0 for k in key):
-            raise ValueError(f"stream key parts must be non-negative, got {key}")
+        seed, key = int(self.seed), tuple(int(k) for k in self.key)
+        if seed < 0 or any(k < 0 for k in key):
+            raise ValueError(f"stream seed and key parts must be non-negative, got {seed}, {key}")
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", seed)
 
     def child(self, *parts: int) -> "RngStream":
         """Derive the sub-stream addressed by appending `parts` to the key."""
         return RngStream(self.seed, self.key + tuple(int(p) for p in parts))
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.seed & _MASK64, spawn_key=self.key)
+        ss = np.random.SeedSequence(self.seed, spawn_key=self.key)
         return np.random.Generator(np.random.Philox(ss))
 
 

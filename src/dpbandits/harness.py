@@ -21,12 +21,16 @@ __all__ = [
     "ExperimentSpec",
     "RunResult",
     "default_checkpoints",
+    "pool_map",
     "run_experiment",
     "run_single",
     "write_csv",
 ]
 
 DEFAULT_EPS_GRID = (0.0, 0.5, 1.0, 2.0)
+
+#: privacy.csv's header, and the columns of `dpbandits privacy`'s table
+PRIVACY_COLUMNS = ("policy", "alpha", "T", "eta", "epsilon", "delta")
 
 
 def default_checkpoints(horizon: int, n_arms: int = 1) -> tuple[int, ...]:
@@ -85,7 +89,6 @@ class RunResult:
     checkpoints: tuple[int, ...]
     regret: tuple[float, ...]
     pulls: tuple[int, ...]
-    eta: float | None
 
 
 @dataclass(frozen=True)
@@ -151,7 +154,6 @@ def run_single(spec: ExperimentSpec, position: int, run_index: int) -> RunResult
     policy = make_policy(cfg, spec.instance.n_arms, root.child(Purpose.POLICY).generator())
     reward_rng = root.child(Purpose.REWARD).generator()
     trace, pulls = _drive(policy, spec.instance, spec.horizon, spec.checkpoints, reward_rng)
-    eta = policy_gdp(cfg)
     return RunResult(
         policy=cfg.label(),
         position=position,
@@ -159,7 +161,6 @@ def run_single(spec: ExperimentSpec, position: int, run_index: int) -> RunResult
         checkpoints=spec.checkpoints,
         regret=tuple(trace),
         pulls=tuple(pulls),
-        eta=None if eta is None else eta.eta,
     )
 
 
@@ -191,31 +192,33 @@ def _aggregate(spec: ExperimentSpec, runs: list[RunResult]) -> tuple[AggregateRe
     return tuple(out)
 
 
-def _pool_size(workers: int | None, n_tasks: int) -> int:
-    """`workers` (None: machine CPUs; must be >= 1) capped at n_tasks, as pools
-    start every worker they are given."""
+def pool_map(fn, tasks: list, workers: int | None, executor: str) -> list:
+    """[fn(task) for task in tasks] on a pool of `workers` (None: machine CPUs;
+    must be >= 1), capped at len(tasks), as pools start every worker they are
+    given; one worker runs inline.  `executor` names the concurrent.futures
+    class, looked up only when a pool starts, so an inline call never imports
+    its module.  Results come back in task order."""
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return min(workers, n_tasks)
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    chunk = max(1, len(tasks) // (4 * workers))  # thread pools ignore it
+    with getattr(concurrent.futures, executor)(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunk))
 
 
 def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> ExperimentResult:
-    """All (policy, run) pairs; results are identical for every worker count
-    because each run owns its streams and aggregation happens in task order."""
+    """All (policy, run) pairs on `workers` processes; results are identical for
+    every worker count because each run owns its streams."""
     tasks = [
         (spec, position, run)
         for position in range(len(spec.policies))
         for run in range(spec.n_runs)
     ]
-    workers = _pool_size(workers, len(tasks))
-    if workers == 1:
-        runs = [_run_task(t) for t in tasks]
-    else:
-        chunk = max(1, len(tasks) // (4 * workers))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_run_task, tasks, chunksize=chunk))
+    runs = pool_map(_run_task, tasks, workers, "ProcessPoolExecutor")
     return ExperimentResult(spec=spec, runs=tuple(runs), aggregates=_aggregate(spec, runs))
 
 
@@ -264,7 +267,7 @@ def write_privacy_csv(
             )
     with _open_writer(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["policy", "alpha", "T", "eta", "epsilon", "delta"])
+        writer.writerow(PRIVACY_COLUMNS)
         writer.writerows(rows)
     return rows
 

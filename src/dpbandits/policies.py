@@ -399,9 +399,7 @@ class DpTsUcbPolicy(Policy):
 
     def update(self, arm: int, reward: float) -> None:
         if self._init_cursor < self._init_rounds:
-            # round-robin initialization: the single pull seeds mu_hat, n=1
-            self._mu_hat[arm] = reward
-            self._init_cursor += 1
+            self._observe(arm, reward)  # the single round-robin pull seeds mu_hat, n=1
             return
         unprocessed = self._unprocessed[arm] + 1
         pending = self._pending[arm] + reward

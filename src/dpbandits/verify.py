@@ -11,7 +11,6 @@ the same numbers as one full-size draw and bounds each check's memory.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .env import Purpose, RngStream
-from .harness import _pool_size
+from .harness import pool_map
 from .policies import phi_budget
 from .privacy import _check_alpha, _check_horizon, std_normal_cdf, std_normal_logcdf
 
@@ -283,9 +282,6 @@ def default_battery(trials: int = 10**5, seed: int = 0, checks=BATTERY_CHECKS,
         grid = ((10, 0.1), (10, 0.3), (100, 0.1), (100, 0.2))
         for i, (n, a) in enumerate(grid):
             tasks.append(partial(mc_hoeffding, n, a, 0.5, trials, stream=root.child(2, i)))
-    workers = _pool_size(workers, sum(map(callable, tasks)))
-    if workers <= 1:
-        return [t() if callable(t) else t for t in tasks]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        done = pool.map(lambda t: t(), filter(callable, tasks))
-        return [next(done) if callable(t) else t for t in tasks]
+    done = iter(pool_map(lambda t: t(), list(filter(callable, tasks)), workers,
+                         "ThreadPoolExecutor"))
+    return [next(done) if callable(t) else t for t in tasks]

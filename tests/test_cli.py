@@ -1,9 +1,13 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dpbandits
 from dpbandits.cli import (
     COMMAND_KEYS,
     CliConfig,
@@ -424,6 +428,69 @@ def test_library_domain_errors_exit_two(capsys):
     assert "initialization rounds" in capsys.readouterr().err
     assert main(["privacy", "--preset", "paper-fig5", "--T", "10000"]) == 2
     assert "initialization rounds" in capsys.readouterr().err
+
+
+#: settings both run and privacy reject; after --T 100 --runs 1, so that a run
+#: which wrongly starts stays small
+_REJECTED_BY_BOTH = [
+    ["--means", "2,0.5"],
+    ["--means", "nan,0.5"],
+    ["--eps-grid", "nan"],
+    ["--eps-grid", "inf"],
+    ["--eps-grid", "0,-inf"],
+    ["--policies", "bogus"],
+    ["--T", "5"],  # below dp-ts-ucb's minimum horizon
+    ["--policies", "ucb1", "--T", "3"],  # fewer rounds than arms
+]
+
+
+@pytest.mark.parametrize("flags", _REJECTED_BY_BOTH, ids=" ".join)
+@pytest.mark.parametrize("command", ["run", "privacy"])
+def test_run_and_privacy_reject_the_same_settings_with_two_and_write_nothing(
+        command, flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--T", "100", "--runs", "1", "--workers", "1", *flags, "--out", "out"]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "privacy"])
+def test_an_unusable_out_exits_three_before_any_work(command, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr("dpbandits.cli.run_experiment", no_work)
+    monkeypatch.setattr("dpbandits.cli.write_privacy_csv", no_work)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    assert main([command, "--T", "100", "--runs", "1", "--out", str(blocker)]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert blocker.read_text() == "a file, not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, module, loaded",
+    [
+        (["run", "--T", "100", "--runs", "2", "--workers", "1"], "process", False),
+        (["run", "--T", "100", "--runs", "2", "--workers", "2"], "process", True),
+        (["verify", "--trials", "10000", "--checks", "hoeffding", "--workers", "1"], "thread", False),
+        (["verify", "--trials", "10000", "--checks", "hoeffding", "--workers", "2"], "thread", True),
+    ],
+)
+def test_only_a_started_pool_imports_its_executor_module(argv, module, loaded, tmp_path):
+    # a fresh interpreter, so that no other test can have imported the module
+    # first; run writes to the default --out under tmp_path
+    script = (
+        "import sys\n"
+        "from dpbandits.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print(code, 'concurrent.futures.{module}' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dpbandits.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == f"0 {loaded}"
 
 
 def test_value_errors_from_inside_the_library_propagate(monkeypatch):

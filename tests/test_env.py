@@ -46,6 +46,22 @@ def test_negative_key_part_rejected():
         RngStream(0, (-1,))
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        RngStream(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        RngStream(-(2**64), (1,))
+
+
+def test_seeds_past_64_bits_get_their_own_streams():
+    draws = {seed: tuple(RngStream(seed, (1,)).generator().random(4))
+             for seed in (0, 2**64 - 1, 2**64, 2**64 + 1)}
+    assert len(set(draws.values())) == 4
+    # below 2**64 the stream is the plain SeedSequence of the seed
+    twin = np.random.Generator(np.random.Philox(np.random.SeedSequence(2**64 - 1, spawn_key=(1,))))
+    assert draws[2**64 - 1] == tuple(twin.random(4))
+
+
 def test_purpose_tags_are_stable():
     # stream keys embed these values; changing them would silently reseed
     assert (Purpose.REWARD, Purpose.POLICY, Purpose.TRIAL) == (0, 1, 2)

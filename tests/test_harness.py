@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 
 import numpy as np
@@ -9,6 +10,7 @@ from dpbandits.harness import (
     DEFAULT_EPS_GRID,
     ExperimentSpec,
     default_checkpoints,
+    pool_map,
     run_experiment,
     run_single,
     write_csv,
@@ -23,7 +25,6 @@ from dpbandits.policies import (
     TsGaussianConfig,
     Ucb1Config,
 )
-from dpbandits.privacy import eta_dp_ts_ucb
 
 BENCH = BanditInstance((0.95, 0.75, 0.55, 0.35, 0.15))
 
@@ -180,9 +181,7 @@ def test_run_result_metadata():
     assert dp.checkpoints == spec.checkpoints
     assert len(dp.regret) == len(spec.checkpoints)
     assert sum(dp.pulls) == spec.horizon
-    assert dp.eta == eta_dp_ts_ucb(1.0, spec.horizon).eta
-    ucb = run_single(spec, 1, 0)
-    assert ucb.eta is None
+    assert run_single(spec, 1, 0).policy == "ucb1"
 
 
 def test_regret_traces_are_nonnegative_and_nondecreasing():
@@ -260,6 +259,32 @@ def test_the_process_pool_is_never_larger_than_the_task_list(monkeypatch):
     inline = run_experiment(spec, workers=1)  # one worker runs in this process
     assert sizes == [2, 2, 4]
     assert inline.runs == pooled.runs
+
+
+def test_pool_map_sizes_a_default_pool_by_the_cpus_and_the_tasks(monkeypatch):
+    sizes = []
+
+    class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    assert pool_map(abs, [-5, -1, -4, -2], None, "ThreadPoolExecutor") == [5, 1, 4, 2]
+    assert pool_map(abs, [-5, -1], None, "ThreadPoolExecutor") == [5, 1]
+    assert sizes == [3, 2]
+
+
+def test_pool_map_runs_one_worker_or_one_task_inline_without_looking_up_the_pool():
+    # an unknown class name fails only where a pool would start
+    assert pool_map(str, [1, 2], 1, "NoSuchExecutor") == ["1", "2"]
+    assert pool_map(str, [7], 4, "NoSuchExecutor") == ["7"]
+    assert pool_map(str, [], None, "NoSuchExecutor") == []
+    with pytest.raises(AttributeError):
+        pool_map(str, [1, 2], 2, "NoSuchExecutor")
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        pool_map(str, [1, 2], 0, "ThreadPoolExecutor")
 
 
 def test_policies_behave_sanely_on_the_benchmark_instance():

@@ -340,7 +340,7 @@ def test_a_battery_without_monte_carlo_checks_starts_no_thread(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("the closed-form checks started a thread pool")
 
-    monkeypatch.setattr(verify.concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     reports = default_battery(MIN_TRIALS, checks=("gaussian-facts", "log-inequality"), workers=4)
     assert reports == check_gaussian_tail_facts() + [reports[-1]]
     assert reports[-1].name == "log-inequality" and len(reports) == 13
@@ -356,7 +356,7 @@ def test_the_thread_pool_is_never_larger_than_the_monte_carlo_task_list(monkeypa
             sizes.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(verify.concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
     # four inverse-prob tasks; the 13 closed-form reports take no thread
     checks = ("inverse-prob", "gaussian-facts", "log-inequality")
     pooled = default_battery(MIN_TRIALS, checks=checks, workers=8)
