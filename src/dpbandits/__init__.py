@@ -1,103 +1,15 @@
 """Differentially private stochastic bandits: policies, a Gaussian
-privacy accountant, a benchmark harness, and Monte-Carlo verifiers."""
+privacy accountant, a benchmark harness, and Monte-Carlo verifiers.  The root
+re-exports each module's `__all__`; only the command line imports `cli`."""
 
-from .env import BanditInstance, Purpose, RngStream, gaps, sample_reward
-from .harness import (
-    AggregateResult,
-    ExperimentResult,
-    ExperimentSpec,
-    RunResult,
-    default_checkpoints,
-    run_experiment,
-    run_single,
-    write_csv,
-)
-from .policies import (
-    BUDGET_SCALE,
-    ArmState,
-    DpTsUcbConfig,
-    DpTsUcbPolicy,
-    GaussianThompsonPolicy,
-    MTsGaussianConfig,
-    PolicyConfig,
-    TsGaussianConfig,
-    Ucb1Config,
-    Ucb1Policy,
-    make_policy,
-    phi_budget,
-)
-from .privacy import (
-    DpPoint,
-    GdpParam,
-    compose,
-    eta_dp_ts_ucb,
-    eta_m_ts_gaussian,
-    eta_ts_gaussian,
-    gdp_to_dp,
-    match_c,
-    policy_gdp,
-    std_normal_cdf,
-    std_normal_logcdf,
-    std_normal_quantile,
-    tradeoff_G,
-)
-from .verify import (
-    McReport,
-    check_gaussian_tail_facts,
-    default_battery,
-    inverse_prob_threshold,
-    mc_hoeffding,
-    mc_inverse_prob,
-    mc_max_boost,
-)
+from . import env, harness, policies, privacy, verify
+from .env import *
+from .harness import *
+from .policies import *
+from .privacy import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregateResult",
-    "ArmState",
-    "BUDGET_SCALE",
-    "BanditInstance",
-    "DpPoint",
-    "DpTsUcbConfig",
-    "DpTsUcbPolicy",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "GaussianThompsonPolicy",
-    "GdpParam",
-    "MTsGaussianConfig",
-    "McReport",
-    "PolicyConfig",
-    "Purpose",
-    "RngStream",
-    "RunResult",
-    "TsGaussianConfig",
-    "Ucb1Config",
-    "Ucb1Policy",
-    "check_gaussian_tail_facts",
-    "compose",
-    "default_battery",
-    "default_checkpoints",
-    "eta_dp_ts_ucb",
-    "eta_m_ts_gaussian",
-    "eta_ts_gaussian",
-    "gaps",
-    "gdp_to_dp",
-    "inverse_prob_threshold",
-    "make_policy",
-    "match_c",
-    "mc_hoeffding",
-    "mc_inverse_prob",
-    "mc_max_boost",
-    "phi_budget",
-    "policy_gdp",
-    "run_experiment",
-    "run_single",
-    "sample_reward",
-    "std_normal_cdf",
-    "std_normal_logcdf",
-    "std_normal_quantile",
-    "tradeoff_G",
-    "write_csv",
-    "__version__",
-]
+__all__ = [*env.__all__, *harness.__all__, *policies.__all__, *privacy.__all__, *verify.__all__,
+           "__version__"]

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .env import BanditInstance
-from .harness import PRIVACY_COLUMNS, ExperimentResult, ExperimentSpec, run_experiment, write_csv
-from .harness import _open_writer, write_privacy_csv
+from .harness import DEFAULT_EPS_GRID, PRIVACY_COLUMNS, ExperimentResult, ExperimentSpec
+from .harness import _fmt, _open_writer, run_experiment, write_csv, write_privacy_csv
 from .policies import VARIANTS, DpTsUcbConfig, MTsGaussianConfig, PolicyConfig, Variant
 from .privacy import match_c, policy_gdp
 from .verify import BATTERY_CHECKS, MIN_TRIALS, McReport, default_battery
@@ -49,7 +49,7 @@ DEFAULTS = {
     "runs": "20",
     "seed": "0",
     "out": "results",
-    "eps-grid": "0,0.5,1,2",
+    "eps-grid": ",".join(_fmt(e) for e in DEFAULT_EPS_GRID),
     "workers": "",
     "trials": "100000",
     "checks": "all",
@@ -261,20 +261,17 @@ def parse_config(argv: list[str]) -> CliConfig:
 def config_items(cfg: CliConfig) -> dict[str, str]:
     """The settings its command reads, in the flat key-value form; re-parsing
     them reproduces the CliConfig exactly (preset expansion is idempotent)."""
-    def fmt(x: float) -> str:
-        return format(float(x), ".17g")
-
     items = {
-        "means": ",".join(fmt(m) for m in cfg.means),
+        "means": ",".join(_fmt(m) for m in cfg.means),
         "T": str(cfg.horizon),
-        "alpha": ",".join(fmt(a) for a in cfg.alphas),
+        "alpha": ",".join(_fmt(a) for a in cfg.alphas),
         "policies": ",".join(cfg.policies),
         "b": str(cfg.b),
-        "c": cfg.c if isinstance(cfg.c, str) else fmt(cfg.c),
+        "c": cfg.c if isinstance(cfg.c, str) else _fmt(cfg.c),
         "runs": str(cfg.runs),
         "seed": str(cfg.seed),
         "out": cfg.out,
-        "eps-grid": ",".join(fmt(e) for e in cfg.eps_grid),
+        "eps-grid": ",".join(_fmt(e) for e in cfg.eps_grid),
         "workers": "" if cfg.workers is None else str(cfg.workers),
         "trials": str(cfg.trials),
         "checks": ",".join(cfg.checks),

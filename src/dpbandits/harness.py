@@ -246,6 +246,15 @@ def _open_writer(path: Path):
         raise
 
 
+def _write_table(path: Path, header, rows) -> None:
+    """One CSV table at `path` through _open_writer; `rows` may be a generator,
+    so an interrupt part-way through leaves no file behind."""
+    with _open_writer(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_privacy_csv(
     policies: tuple[PolicyConfig, ...],
     path: Path,
@@ -265,10 +274,7 @@ def write_privacy_csv(
             rows.append(
                 [cfg.label(), alpha, str(cfg.horizon), _fmt(eta.eta), _fmt(eps), _fmt(point.delta)]
             )
-    with _open_writer(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(PRIVACY_COLUMNS)
-        writer.writerows(rows)
+    _write_table(path, PRIVACY_COLUMNS, rows)
     return rows
 
 
@@ -286,21 +292,17 @@ def write_csv(
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.csv" for name in ("per_run", "aggregate", "privacy")}
 
-    with _open_writer(paths["per_run"]) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["policy", "seed", "checkpoint", "regret"])
-        for run in result.runs:
-            for checkpoint, regret in zip(run.checkpoints, run.regret):
-                writer.writerow([run.policy, str(run.seed), str(checkpoint), _fmt(regret)])
-
-    with _open_writer(paths["aggregate"]) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["policy", "checkpoint", "mean_regret", "std_regret", "n_runs"])
-        for agg in result.aggregates:
-            for checkpoint, mean, std in zip(agg.checkpoints, agg.mean_regret, agg.std_regret):
-                writer.writerow(
-                    [agg.policy, str(checkpoint), _fmt(mean), _fmt(std), str(agg.n_runs)]
-                )
+    _write_table(paths["per_run"], ("policy", "seed", "checkpoint", "regret"), (
+        [run.policy, str(run.seed), str(checkpoint), _fmt(regret)]
+        for run in result.runs
+        for checkpoint, regret in zip(run.checkpoints, run.regret)
+    ))
+    aggregate_columns = ("policy", "checkpoint", "mean_regret", "std_regret", "n_runs")
+    _write_table(paths["aggregate"], aggregate_columns, (
+        [agg.policy, str(checkpoint), _fmt(mean), _fmt(std), str(agg.n_runs)]
+        for agg in result.aggregates
+        for checkpoint, mean, std in zip(agg.checkpoints, agg.mean_regret, agg.std_regret)
+    ))
 
     write_privacy_csv(result.spec.policies if result.runs else (), paths["privacy"], eps_grid)
     return paths

@@ -30,7 +30,6 @@ from .privacy import (
 
 __all__ = [
     "ArmState",
-    "BUDGET_SCALE",
     "DpTsUcbConfig",
     "DpTsUcbPolicy",
     "GaussianThompsonPolicy",

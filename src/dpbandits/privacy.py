@@ -19,6 +19,7 @@ if TYPE_CHECKING:
     from .policies import PolicyConfig
 
 __all__ = [
+    "BUDGET_SCALE",
     "DpPoint",
     "GdpParam",
     "compose",
@@ -97,7 +98,8 @@ def std_normal_logcdf(x):
         out[mid] = np.log(0.5 * special.erfc(-arr[mid] / _SQRT2))
     if deep.any():
         z = -arr[deep] / _SQRT2
-        out[deep] = np.log(0.5 * special.erfcx(z)) - z * z
+        with np.errstate(over="ignore"):  # z * z overflows to inf below x ~ -1.9e154
+            out[deep] = np.log(0.5 * special.erfcx(z)) - z * z
     return float(out[0]) if np.asarray(x).ndim == 0 else out
 
 
@@ -152,7 +154,8 @@ def _eta_value(eta) -> float:
 
 def tradeoff_G(eta, x: float) -> float:
     """The Gaussian trade-off curve G_eta(x) = Phi(Phi^{-1}(1 - x) - eta):
-    the best type-II error at type-I error x.  G_0 is the powerless line 1-x."""
+    the best type-II error at type-I error x.  G_0 is the powerless line 1-x.
+    Evaluated as Phi(-Phi^{-1}(x) - eta), so a tiny x keeps its precision."""
     value = _eta_value(eta)
     x = float(x)
     if not 0.0 <= x <= 1.0:
@@ -161,7 +164,7 @@ def tradeoff_G(eta, x: float) -> float:
         return 1.0
     if x == 1.0:
         return 0.0
-    return float(std_normal_cdf(std_normal_quantile(1.0 - x) - value))
+    return float(std_normal_cdf(-std_normal_quantile(x) - value))
 
 
 def compose(etas) -> GdpParam:
@@ -189,10 +192,13 @@ def gdp_to_dp(eta, epsilon: float) -> DpPoint:
     if value == 0.0:
         return DpPoint(epsilon, 0.0)
     log_hi = std_normal_logcdf(0.5 * value - epsilon / value)
+    if log_hi == -math.inf:  # a huge eps underflows both terms to log 0
+        return DpPoint(epsilon, 0.0)
     log_lo = epsilon + std_normal_logcdf(-0.5 * value - epsilon / value)
-    # delta = e^a - e^b with b <= a; min() guards a one-ulp crossover
+    # delta = e^a - e^b with b <= a; min() guards a one-ulp crossover, and
+    # max(0.0, ...) keeps the first of equal values, so -0.0 becomes 0.0
     delta = -math.exp(log_hi) * math.expm1(min(log_lo - log_hi, 0.0))
-    return DpPoint(epsilon, min(max(delta, 0.0), 1.0))
+    return DpPoint(epsilon, min(max(0.0, delta), 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,13 @@ def _check_trials(trials: int) -> int:
     return int(trials)
 
 
+def _check_gap(horizon: int, gap: float) -> None:
+    if not 0.0 < gap < 1.0:
+        raise ValueError(f"gap must lie in (0, 1), got {gap}")
+    if horizon * gap * gap <= math.e:
+        raise ValueError(f"need T * gap^2 > e, got {horizon * gap * gap}")
+
+
 def _chunk_sizes(trials: int) -> list[int]:
     return [min(CHUNK, trials - start) for start in range(0, trials, CHUNK)]
 
@@ -133,10 +140,7 @@ def inverse_prob_threshold(alpha: float, horizon: int, gap: float) -> int:
     ceil(4 (1+sqrt 2)^2 ln(T gap^2) ln(T)^alpha / gap^2)."""
     alpha = _check_alpha(alpha)
     horizon = _check_horizon(horizon)
-    if not 0.0 < gap < 1.0:
-        raise ValueError(f"gap must lie in (0, 1), got {gap}")
-    if horizon * gap * gap <= math.e:
-        raise ValueError(f"need T * gap^2 > e, got {horizon * gap * gap}")
+    _check_gap(horizon, gap)
     return math.ceil(
         4.0 * (1.0 + math.sqrt(2.0)) ** 2
         * math.log(horizon * gap * gap)
@@ -168,10 +172,7 @@ def mc_inverse_prob(alpha: float, horizon: int, s: int, mu1: float, gap: float,
         raise ValueError(f"s must be a positive integer, got {s}")
     if not 0.0 < mu1 < 1.0:
         raise ValueError(f"mu1 must lie in (0, 1), got {mu1}")
-    if not 0.0 < gap < 1.0:
-        raise ValueError(f"gap must lie in (0, 1), got {gap}")
-    if horizon * gap * gap <= math.e:
-        raise ValueError(f"need T * gap^2 > e, got {horizon * gap * gap}")
+    _check_gap(horizon, gap)
     rng = stream.generator()
     sigma = math.sqrt(math.log(horizon) ** alpha / s)
     counts = _outcome_counts(rng, int(s), mu1, trials)

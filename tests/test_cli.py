@@ -388,6 +388,20 @@ def test_privacy_on_a_run_command_line_writes_the_run_privacy_table(tmp_path, ca
     assert table.count(b"\n") == 1 + 5 * 4  # five guaranteed configurations x four epsilons
 
 
+@pytest.mark.parametrize("command", ["run", "privacy"])
+def test_a_huge_epsilon_gives_a_zero_delta_not_a_traceback(command, tmp_path, capsys):
+    # at eps=1e300 both terms of delta underflow; at 1e100 delta came out -0.0
+    argv = [command, "--policies", "dp-ts-ucb", "--alpha", "1", "--T", "1000", "--runs", "1",
+            "--workers", "1", "--eps-grid", "1e100,1e300", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with (tmp_path / "privacy.csv").open(newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [(row[4], row[5]) for row in rows] == [
+        ("1e+100", "0"), ("1.0000000000000001e+300", "0")
+    ]
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["run", "--alpha", "1.5"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -375,6 +375,35 @@ def test_an_interrupted_write_leaves_no_partial_csv(tmp_path, monkeypatch, exist
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_write_interrupted_in_aggregate_csv_leaves_no_partial_csv(
+    tmp_path, monkeypatch, existing
+):
+    result = run_experiment(_small_spec(n_runs=2), workers=1)
+    write_csv(result, tmp_path / "complete")
+    complete = {p.name: p.read_bytes() for p in (tmp_path / "complete").iterdir()}
+    out = tmp_path / "out"
+    if existing:
+        write_csv(result, out)
+    per_run_values = sum(len(run.regret) for run in result.runs)
+    real_fmt, calls = harness._fmt, []
+
+    def interrupted_fmt(value):
+        calls.append(value)
+        if len(calls) > per_run_values + 3:  # part-way through aggregate.csv's rows
+            raise KeyboardInterrupt
+        return real_fmt(value)
+
+    monkeypatch.setattr(harness, "_fmt", interrupted_fmt)
+    with pytest.raises(KeyboardInterrupt):
+        write_csv(result, out)
+    assert len(calls) == per_run_values + 4
+    # per_run.csv is complete; aggregate.csv and privacy.csv are the earlier
+    # files or absent, and no temporary file remains
+    expected = complete if existing else {"per_run.csv": complete["per_run.csv"]}
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
+
+
 def test_privacy_csv_alpha_column_is_blank_for_non_budgeted_policies(tmp_path):
     T = 100
     policies = (

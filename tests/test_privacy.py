@@ -36,6 +36,12 @@ LOGPHI_REFS = {
     8.0: -6.2209605742717860585e-16,
     37.0: -5.7255712225245768227e-300,
 }
+#: (eta, x) -> G_eta(x); x = 1e-17 rounds 1 - x to 1.0
+TRADEOFF_REFS = {
+    (1.0, 1e-17): 0.9999999999999665444455,
+    (10.0, 1e-17): 0.06600705027626353457704,
+    (38.0, 1e-300): 0.1703194324577618215003,
+}
 QUANTILE_REFS = {
     0.975: 1.9599639845400542355,
     1e-12: -7.0344838253011319298,
@@ -156,11 +162,17 @@ def test_tradeoff_curve_formula_and_monotonicity():
     eta = 1.3
     xs = np.linspace(0.01, 0.99, 25)
     vals = [tradeoff_G(eta, x) for x in xs]
-    direct = [std_normal_cdf(std_normal_quantile(1.0 - x) - eta) for x in xs]
+    direct = [std_normal_cdf(-std_normal_quantile(x) - eta) for x in xs]
     assert vals == direct
     assert all(a > b for a, b in zip(vals, vals[1:]))
     # weaker guarantee (larger eta) lies strictly below
     assert all(tradeoff_G(2.0, x) < v for x, v in zip(xs, vals))
+
+
+def test_tradeoff_curve_keeps_tiny_type_one_errors():
+    for (eta, x), ref in TRADEOFF_REFS.items():
+        assert tradeoff_G(eta, x) == pytest.approx(ref, rel=1e-13)
+    assert tradeoff_G(1.0, 1e-300) == 1.0
 
 
 def test_compose_is_root_sum_square_and_permutation_invariant():
@@ -178,6 +190,13 @@ def test_gdp_to_dp_reference_points():
     assert gdp_to_dp(1.0, 0.0).delta == pytest.approx(0.3829249225480261, rel=1e-12)
     assert gdp_to_dp(1.0, 1.0).delta == pytest.approx(0.1269367375066439, rel=1e-12)
     assert gdp_to_dp(GdpParam(1.0), 0.0).delta == gdp_to_dp(1.0, 0.0).delta
+
+
+@pytest.mark.parametrize("epsilon", [1e20, 1e100, 1e300])
+def test_gdp_to_dp_at_a_huge_epsilon_is_a_positive_zero(epsilon):
+    delta = gdp_to_dp(eta_dp_ts_ucb(1.0, 1000), epsilon).delta
+    assert delta == 0.0
+    assert math.copysign(1.0, delta) == 1.0  # not -0.0, which the CSV writes as "-0"
 
 
 def test_gdp_to_dp_zero_noise_is_perfectly_private():
