@@ -117,30 +117,31 @@ def _drive(
     checkpoints: tuple[int, ...],
     reward_rng: np.random.Generator,
 ) -> tuple[list[float], list[int]]:
-    """The round loop: select, draw reward, update, accumulate pseudo-regret.
+    """The round loop: the policy plays blocks of BLOCK_SIZE rounds, and the
+    harness accumulates their pseudo-regret and pulls.
 
     Uniforms come from `reward_rng.random` in blocks of BLOCK_SIZE; each
-    reward `u < mean` is the one sample_reward would draw at that point."""
-    means = instance.means
-    gap = gaps(instance).tolist()
-    pulls = [0] * instance.n_arms
+    reward `u < mean` is the one sample_reward would draw at that point.
+    `np.add.accumulate` sums in round order, and its first term carries the
+    regret of the earlier blocks, so every checkpoint's value is the one a
+    `regret += gap[arm]` loop gives."""
+    gap = gaps(instance)
+    pulls = np.zeros(instance.n_arms, dtype=np.int64)
     regret = 0.0
     trace: list[float] = []
-    remaining = iter(checkpoints)
-    next_cp = next(remaining)
-    select = policy.select
-    update = policy.update
+    cp = 0
     for start in range(1, horizon + 1, BLOCK_SIZE):
         stop = min(start + BLOCK_SIZE, horizon + 1)
-        for t, u in zip(range(start, stop), reward_rng.random(stop - start).tolist()):
-            arm = select(t)
-            update(arm, 1.0 if u < means[arm] else 0.0)
-            pulls[arm] += 1
-            regret += gap[arm]
-            if t == next_cp:
-                trace.append(regret)
-                next_cp = next(remaining, 0)
-    return trace, pulls
+        arms = policy.play(start, reward_rng.random(stop - start), instance.means)
+        pulls += np.bincount(arms, minlength=instance.n_arms)
+        running = gap[arms]
+        running[0] += regret
+        np.add.accumulate(running, out=running)
+        while cp < len(checkpoints) and checkpoints[cp] < stop:
+            trace.append(float(running[checkpoints[cp] - start]))
+            cp += 1
+        regret = float(running[-1])
+    return trace, pulls.tolist()
 
 
 def run_single(spec: ExperimentSpec, position: int, run_index: int) -> RunResult:

@@ -205,7 +205,12 @@ class Policy:
     one value per arm into `_theta` (a fresh or reused model, or an index) and
     returns the arm to pull.  A subclass writes `_round` and `update`; one
     that estimates each arm by the running mean of all its rewards feeds them
-    through `_observe`."""
+    through `_observe`.
+
+    The harness plays a block of rounds at a time through `play`.  Here it is
+    the select/update loop; a subclass may override it to settle several
+    rounds at once, provided it pulls the same arms and leaves its state and
+    its generator exactly where that loop would."""
 
     def __init__(self, n_arms: int, init_rounds: int) -> None:
         self.n_arms = int(n_arms)
@@ -226,6 +231,18 @@ class Policy:
         if self._init_cursor < self._init_rounds:
             raise RuntimeError("initialization rounds are not finished")
         return self._round(t), self._theta.copy()
+
+    def play(self, t0: int, uniforms: np.ndarray, means) -> np.ndarray:
+        """Rounds t0, t0 + 1, ..., one per reward uniform: round t pulls
+        `arm`, feeds `update` the Bernoulli reward `u < means[arm]`, and the
+        pulled arms come back in round order."""
+        select, update = self.select, self.update
+        arms = []
+        for t, u in enumerate(uniforms.tolist(), start=t0):
+            arm = select(t)
+            update(arm, 1.0 if u < means[arm] else 0.0)
+            arms.append(arm)
+        return np.array(arms, dtype=np.intp)
 
     def _round(self, t: int) -> int:
         raise NotImplementedError
@@ -275,6 +292,10 @@ class ArmState:
 #: a 2-vCPU VM), so the break-even is about 11 live arms.
 FEW = 8
 
+#: The most rounds `DpTsUcbPolicy.play` draws models for in one chunk while
+#: arms are live; the variates drawn past an epoch close are drawn again.
+CHUNK_ROUNDS = 256
+
 
 class DpTsUcbPolicy(Policy):
     """Gaussian Thompson sampling under a per-epoch fresh-model budget.
@@ -294,6 +315,28 @@ class DpTsUcbPolicy(Policy):
     untouched.  Budgets are not counted down round by round: an arm's budget
     is `expiry - rounds`, so the live set and the draw arguments are rebuilt
     only when an epoch closes or a budget runs out.
+
+    `select`, `_round` and `update` are the per-round reference.  `play`
+    settles the stretches between two such events in bulk:
+
+    - Stage A, no live arm: every round pulls the arm with the largest epoch
+      max, and nothing but its pending sum changes.  The rounds before the one
+      that closes its epoch are settled at once by counting `u < mean`; the
+      closing round goes through select/update.  `rng` is not touched.
+    - Stage B, at most FEW live arms: a chunk of at most CHUNK_ROUNDS rounds,
+      and of no more than are left before a budget runs out, draws
+      `standard_normal((rounds, live))`.  `z * scale + loc` is bit for bit the
+      per-round `rng.normal(loc, scale)`, and each row's first argmax over
+      the live models and the best reused epoch max is the pull.  If an
+      epoch closes inside the chunk, the chunk is cut after that round: the
+      generator's state is restored and exactly the variates of the rounds
+      kept are drawn again, so `rng` stands where the per-round path leaves
+      it.  The closing round's reward goes through `update`.
+    - More than FEW live arms, and the initialization rounds: select/update
+      round by round, as in `Policy.play`.
+
+    Stage B needs a real `np.random.Generator`; the per-round path needs only
+    `normal(loc, scale)`.
     """
 
     def __init__(
@@ -395,6 +438,109 @@ class DpTsUcbPolicy(Policy):
             maxes[arm] = -math.inf
         self._best = max(range(self.n_arms), key=maxes.__getitem__)
         self._top = maxes[self._best]
+
+    def play(self, t0: int, uniforms: np.ndarray, means) -> np.ndarray:
+        n = len(uniforms)
+        arms = np.empty(n, dtype=np.intp)
+        paid = uniforms.tolist()
+        payout = np.asarray(means, dtype=np.float64)
+        i = 0
+        while i < n:
+            if self._init_cursor >= self._init_rounds:
+                if self._rounds >= self._stale_at:
+                    self._refresh()
+                if self._live is None:
+                    if self._draws:
+                        i = self._stride_live(i, uniforms, payout, arms)
+                        continue
+                    i = self._stride_spent(i, uniforms, payout, arms)
+                    if i == n:
+                        break
+            # one reference round: initialization, more than FEW live arms, or
+            # the round that closes the epoch of a stage-A stretch
+            arm = self.select(t0 + i)
+            self.update(arm, 1.0 if paid[i] < means[arm] else 0.0)
+            arms[i] = arm
+            i += 1
+        return arms
+
+    def _stride_spent(self, i: int, uniforms: np.ndarray, means: np.ndarray,
+                      arms: np.ndarray) -> int:
+        """Stage A: settle the rounds from index i up to the one that would
+        close the pulled arm's epoch, or to the block end, and return the
+        index where that stops."""
+        arm = self._best
+        stop = min(i + (1 << self._epoch[arm]) - self._unprocessed[arm] - 1, len(uniforms))
+        arms[i:stop] = arm
+        self._unprocessed[arm] += stop - i
+        self._pending[arm] += int(np.count_nonzero(uniforms[i:stop] < means[arm]))
+        self._rounds += stop - i
+        return stop
+
+    def _stride_live(self, i: int, uniforms: np.ndarray, means: np.ndarray,
+                     arms: np.ndarray) -> int:
+        """Stage B: settle the rounds from index i in chunks up to the next
+        epoch close or budget expiry, or to the block end, and return the
+        index where that stops."""
+        rng, n = self._rng, len(uniforms)
+        live = [arm for arm, _, _ in self._draws]
+        live_arms = np.array(live)
+        # an epoch close, the only change to these, ends the stretch
+        loc, scale = self._mu_hat[live_arms], self._scale[live_arms]
+        # The candidate pulls in arm order, so that argmax keeps _round's
+        # tie rule: the live arms, and the best reused epoch max unless
+        # every arm is live (then _best is a live arm and _top is -inf).
+        every_arm_live = self._top == -math.inf
+        candidates = live if every_arm_live else sorted(live + [self._best])
+        columns = np.arange(len(candidates))
+        live_columns = [candidates.index(arm) for arm in live]
+        candidate_arms = np.array(candidates)
+        epoch, unprocessed, pending = self._epoch, self._unprocessed, self._pending
+        while True:
+            # rewards each candidate still needs to close its epoch
+            left = [(1 << epoch[arm]) - unprocessed[arm] for arm in candidates]
+            m = min(CHUNK_ROUNDS, n - i, self._stale_at - self._rounds)
+            may_close = min(left) <= m
+            if may_close:
+                state = rng.bit_generator.state
+            models = rng.standard_normal((m, len(live)))
+            models *= scale
+            models += loc
+            if every_arm_live:
+                values = models
+            else:
+                values = np.empty((m, len(candidates)))
+                values[:, live_columns] = models
+                values[:, candidates.index(self._best)] = self._top
+            column = values.argmax(axis=1)
+            closed = False
+            if may_close:
+                reached = (np.cumsum(column[:, None] == columns, axis=0) == left).any(axis=1)
+                row = int(reached.argmax())
+                closed = bool(reached[row])
+                if closed and row + 1 < m:
+                    m = row + 1
+                    rng.bit_generator.state = state
+                    rng.standard_normal(m * len(live))
+                    column, models = column[:m], models[:m]
+            pulled = candidate_arms[column]
+            paid = uniforms[i:i + m] < means[pulled]
+            settled = m - closed  # a closing round goes through update
+            counts = np.bincount(column[:settled], minlength=len(candidates)).tolist()
+            sums = np.bincount(column[:settled], weights=paid[:settled],
+                               minlength=len(candidates)).tolist()
+            for arm, count, total in zip(candidates, counts, sums):
+                unprocessed[arm] += count
+                pending[arm] += total
+            self._max_model[live_arms] = np.maximum(self._max_model[live_arms], models.max(axis=0))
+            self._theta[live_arms] = models[-1]
+            self._rounds += m
+            arms[i:i + m] = pulled
+            i += m
+            if closed:
+                self.update(candidates[column[-1]], 1.0 if paid[-1] else 0.0)
+            if closed or i == n or self._rounds >= self._stale_at:
+                return i
 
     def update(self, arm: int, reward: float) -> None:
         if self._init_cursor < self._init_rounds:

@@ -132,6 +132,39 @@ def test_drive_rewards_match_sample_reward_across_reward_blocks():
     assert rng.random() == twin.random()  # no uniform drawn beyond the horizon
 
 
+class RandomArm(AlwaysArm):
+    """Deterministic stub: pulls a seeded pseudo-random arm every round."""
+
+    def __init__(self, n_arms, seed):
+        super().__init__(n_arms, None)
+        self._rng = np.random.default_rng(seed)
+
+    def select(self, t):
+        return int(self._rng.integers(self.n_arms))
+
+
+def test_drive_bookkeeping_matches_a_round_by_round_sum_hex_for_hex():
+    # The gaps 0.1 and 0.2 of means 0.9, 0.8, 0.7 are not exact binary
+    # fractions, so the running sum rounds at every term, and only a sum in
+    # round order that carries over the block ends gives these bits.
+    inst = BanditInstance((0.9, 0.8, 0.7))
+    horizon = 3 * BLOCK_SIZE + 11
+    checkpoints = (1, 2, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * BLOCK_SIZE, 3 * BLOCK_SIZE + 1, horizon)
+    policy = RandomArm(3, 8)
+    trace, pulls = _drive(policy, inst, horizon, checkpoints, np.random.default_rng(9))
+    gap = [0.9 - 0.9, 0.9 - 0.8, 0.9 - 0.7]
+    regret, expected, expected_pulls = 0.0, [], [0, 0, 0]
+    for t, (arm, _) in enumerate(policy.updates, start=1):
+        regret += gap[arm]
+        expected_pulls[arm] += 1
+        if t in checkpoints:
+            expected.append(regret)
+    assert len(policy.updates) == horizon
+    assert [v.hex() for v in trace] == [v.hex() for v in expected]
+    assert pulls == expected_pulls
+    assert all(type(v) is float for v in trace) and all(type(n) is int for n in pulls)
+
+
 def _small_spec(n_runs=3, T=300, seed=7):
     policies = (
         PolicyConfig(DpTsUcbConfig(1.0), T),

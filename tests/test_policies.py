@@ -3,16 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from dpbandits import policies
 from dpbandits.cli import expand_policies, parse_config
-from dpbandits.env import BLOCK_SIZE, RngStream
+from dpbandits.env import BLOCK_SIZE, BanditInstance, RngStream
+from dpbandits.harness import _drive
 from dpbandits.policies import (
     BUDGET_SCALE,
+    CHUNK_ROUNDS,
     FEW,
     VARIANTS,
     DpTsUcbConfig,
     DpTsUcbPolicy,
     GaussianThompsonPolicy,
     MTsGaussianConfig,
+    Policy,
     PolicyConfig,
     TsGaussianConfig,
     Ucb1Config,
@@ -391,6 +395,142 @@ def test_alpha_zero_uses_unit_variance_models():
     twin = RngStream(0).generator()
     _, theta = policy.select_with_models(3)
     assert np.array_equal(theta, twin.normal(np.array([1.0, 0.0]), np.ones(2)))
+
+
+# ---------------------------------------------------------------------------
+# DpTsUcbPolicy.play against the per-round reference
+
+
+class PerRound(DpTsUcbPolicy):
+    """The reference: plays through Policy.play's select/update loop."""
+
+    play = Policy.play
+
+
+def _run_inputs(n_arms, horizon, seed):
+    """Arm means and the reward uniforms of rounds 1..horizon for one seed."""
+    means = tuple(np.random.default_rng(seed).uniform(0.05, 0.95, n_arms).tolist())
+    return means, np.random.default_rng(seed + 1).random(horizon)
+
+
+def _play_twins(n_arms, horizon, alpha, seed, cuts):
+    """Rounds 1..horizon through DpTsUcbPolicy.play and through a PerRound
+    twin on a twin generator, with the same rewards, in blocks that end after
+    each round in `cuts` and at the horizon.  After every block the pulled
+    arms and every arm_state must agree; after the last, the next round's
+    select_with_models and one rng.random() from each generator.  Returns the
+    strided policy's (last round, arm states, last pulled arm) per block."""
+    means, uniforms = _run_inputs(n_arms, horizon, seed)
+    rng, twin_rng = RngStream(seed).generator(), RngStream(seed).generator()
+    policy = DpTsUcbPolicy(n_arms, horizon, alpha, rng)
+    twin = PerRound(n_arms, horizon, alpha, twin_rng)
+    blocks, start = [], 1
+    for stop in sorted({int(c) for c in cuts if 1 <= c < horizon} | {horizon}):
+        block = uniforms[start - 1:stop]
+        arms = policy.play(start, block, means)
+        assert np.array_equal(arms, twin.play(start, block, means)), (start, stop)
+        states = [policy.arm_state(a) for a in range(n_arms)]
+        assert states == [twin.arm_state(a) for a in range(n_arms)], (start, stop)
+        blocks.append((stop, states, int(arms[-1])))
+        start = stop + 1
+    arm, theta = policy.select_with_models(horizon + 1)
+    twin_arm, twin_theta = twin.select_with_models(horizon + 1)
+    assert arm == twin_arm and np.array_equal(theta, twin_theta)
+    assert rng.random() == twin_rng.random()  # both generators stand at the same point
+    return blocks
+
+
+def _random_cuts(horizon, seed, longest=700):
+    sizes = np.random.default_rng(seed + 2).integers(1, longest, horizon)
+    return np.cumsum(sizes)
+
+
+def _live(states):
+    return sum(s.budget > 0 for s in states)
+
+
+def _inside_stage_a(states, arm):
+    """No arm is live and the last pulled arm's epoch needs more than one
+    further reward: the next round is settled in bulk by the same stretch."""
+    s = states[arm]
+    return _live(states) == 0 and 0 < s.unprocessed < (1 << s.epoch) - 1
+
+
+@pytest.mark.parametrize("n_arms", [1, 2, 5, 12, 100])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
+def test_play_matches_the_per_round_reference(n_arms, alpha):
+    horizon = 1500 if n_arms == 100 else 3000
+    for seed in range(2 if n_arms == 100 else 6):
+        _play_twins(n_arms, horizon, alpha, seed, _random_cuts(horizon, seed))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 17])
+@pytest.mark.parametrize("n_arms, alpha", [(2, 0.0), (5, 0.0), (5, 0.5), (12, 1.0)])
+def test_play_matches_the_reference_with_short_chunks(monkeypatch, chunk, n_arms, alpha):
+    # Chunks of a few rounds end on many of the epoch closes they cut at.
+    monkeypatch.setattr(policies, "CHUNK_ROUNDS", chunk)
+    for seed in range(3):
+        _play_twins(n_arms, 2000, alpha, seed, _random_cuts(2000, seed))
+
+
+def test_play_matches_the_reference_when_a_block_ends_on_an_epoch_close():
+    # The rounds that close an epoch, from a per-round pass; a block that ends
+    # there ends a chunk exactly on its close, and one that starts CHUNK_ROUNDS
+    # rounds before a close in a long stage-B stretch fills a whole chunk.
+    n_arms, horizon, alpha, seed = 5, 6000, 0.0, 11
+    means, uniforms = _run_inputs(n_arms, horizon, seed)
+    twin = PerRound(n_arms, horizon, alpha, RngStream(seed).generator())
+    closes, epochs = [], [1] * n_arms
+    for t in range(1, horizon + 1):
+        arm = twin.play(t, uniforms[t - 1:t], means)[0]
+        if twin.arm_state(arm).epoch != epochs[arm]:
+            epochs[arm] += 1
+            closes.append(t)
+    whole = [b - CHUNK_ROUNDS for a, b in zip(closes, closes[1:]) if b - a > CHUNK_ROUNDS]
+    assert len(closes) > 20 and whole
+    _play_twins(n_arms, horizon, alpha, seed, closes + whole)
+
+
+def test_play_matches_the_reference_as_the_live_set_crosses_few():
+    # K=12 at alpha=0.5, seed 1: all twelve arms live, then at most FEW, then
+    # more than FEW again, seen at the ends of short blocks.
+    blocks = _play_twins(12, 3000, 0.5, 1, _random_cuts(3000, 1, longest=40))
+    live = [_live(states) for _, states, _ in blocks]
+    low = next(i for i, n in enumerate(live) if n <= FEW)
+    assert live[0] == 12 and any(n > FEW for n in live[low:])
+
+
+def test_play_matches_the_reference_when_blocks_end_inside_stage_a_stretches():
+    # K=12 at alpha=1: after the first phi rounds no arm is live most of the
+    # time, so many short blocks end inside a stage-A stretch.
+    blocks = _play_twins(12, 3000, 1.0, 7, _random_cuts(3000, 7, longest=40))
+    assert sum(_inside_stage_a(states, arm) for _, states, arm in blocks) > 50
+
+
+def test_play_matches_the_reference_with_every_arm_live():
+    # alpha=0 at T=3000 gives phi > T, so no budget runs out: every arm stays
+    # live, and the candidates are the live arms alone.
+    for n_arms in (1, 2, FEW):
+        blocks = _play_twins(n_arms, 3000, 0.0, 3, _random_cuts(3000, 3))
+        assert all(_live(states) == n_arms for _, states, _ in blocks)
+
+
+def test_play_regret_at_checkpoints_inside_stage_a_stretches():
+    # alpha=1 on two arms spends nearly every round in stage A, so the
+    # BLOCK_SIZE block ends and a checkpoint at every round fall inside
+    # stretches; the traces agree hex for hex.
+    instance = BanditInstance((0.9, 0.7))
+    horizon = 3 * BLOCK_SIZE + 50
+    rounds = tuple(range(1, horizon + 1))
+    traces = []
+    for policy_class in (DpTsUcbPolicy, PerRound):
+        policy = policy_class(2, horizon, 1.0, RngStream(4).generator())
+        traces.append(_drive(policy, instance, horizon, rounds, np.random.default_rng(5)))
+    (trace, pulls), (reference, reference_pulls) = traces
+    assert [v.hex() for v in trace] == [v.hex() for v in reference]
+    assert pulls == reference_pulls
+    blocks = _play_twins(2, horizon, 1.0, 4, range(BLOCK_SIZE, horizon, BLOCK_SIZE))
+    assert all(_inside_stage_a(states, arm) for _, states, arm in blocks[:-1])
 
 
 # ---------------------------------------------------------------------------
