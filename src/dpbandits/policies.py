@@ -286,17 +286,6 @@ class ArmState:
     fresh_draws: int
 
 
-#: Live sets of at most FEW arms draw one scalar `rng.normal(loc, scale)` per
-#: arm; larger ones make one call on arrays.  A scalar call costs about 0.7 µs
-#: and the array call about 8 µs whatever its length (numpy 2.4, Python 3.11,
-#: a 2-vCPU VM), so the break-even is about 11 live arms.
-FEW = 8
-
-#: The most rounds `DpTsUcbPolicy.play` draws models for in one chunk while
-#: arms are live; the variates drawn past an epoch close are drawn again.
-CHUNK_ROUNDS = 256
-
-
 class DpTsUcbPolicy(Policy):
     """Gaussian Thompson sampling under a per-epoch fresh-model budget.
 
@@ -309,33 +298,28 @@ class DpTsUcbPolicy(Policy):
     max resets.  Every arm with budget left spends one fresh draw each round,
     whether or not it ends up pulled.
 
-    Every round draws one variate per live arm from `rng.normal(loc, scale)`,
-    in arm order: one scalar call per arm when at most FEW arms are live, one
-    call on arrays otherwise.  A round without a live arm leaves `rng`
-    untouched.  Budgets are not counted down round by round: an arm's budget
-    is `expiry - rounds`, so the live set and the draw arguments are rebuilt
-    only when an epoch closes or a budget runs out.
+    Every round draws one variate per live arm (an arm with budget left) from
+    one `rng.normal(loc, scale)` call on arrays, in arm order; a round
+    without a live arm leaves `rng` untouched.  Budgets are not
+    counted down round by round: an arm's budget is `expiry - rounds`, so the
+    live set and the draw arguments are rebuilt only when an epoch closes or
+    a budget runs out.
 
-    `select`, `_round` and `update` are the per-round reference.  `play`
-    settles the stretches between two such events in bulk:
+    `select`, `_round` and `update` are the per-round reference.  After the
+    initialization rounds, `play` settles the stretches between two such
+    events in bulk, whatever the size of the live set.  A chunk of at most
+    `BLOCK_SIZE // live` rounds (at least one), and of no more than are left
+    before a budget runs out, draws `standard_normal((rounds, live))`.
+    `z * scale + loc` is bit for bit the per-round `rng.normal(loc, scale)`,
+    and each row's first argmax over the live models and the best reused
+    epoch max is the pull; with no live arm nothing is drawn and every round
+    pulls that max.  If an epoch closes inside the chunk, the chunk is cut
+    after that round: the generator's state is restored and exactly the
+    variates of the rounds kept are drawn again, so `rng` stands where the
+    per-round path leaves it.  The closing round's reward goes through
+    `update`.
 
-    - Stage A, no live arm: every round pulls the arm with the largest epoch
-      max, and nothing but its pending sum changes.  The rounds before the one
-      that closes its epoch are settled at once by counting `u < mean`; the
-      closing round goes through select/update.  `rng` is not touched.
-    - Stage B, at most FEW live arms: a chunk of at most CHUNK_ROUNDS rounds,
-      and of no more than are left before a budget runs out, draws
-      `standard_normal((rounds, live))`.  `z * scale + loc` is bit for bit the
-      per-round `rng.normal(loc, scale)`, and each row's first argmax over
-      the live models and the best reused epoch max is the pull.  If an
-      epoch closes inside the chunk, the chunk is cut after that round: the
-      generator's state is restored and exactly the variates of the rounds
-      kept are drawn again, so `rng` stands where the per-round path leaves
-      it.  The closing round's reward goes through `update`.
-    - More than FEW live arms, and the initialization rounds: select/update
-      round by round, as in `Policy.play`.
-
-    Stage B needs a real `np.random.Generator`; the per-round path needs only
+    `play` needs a real `np.random.Generator`; the per-round path needs only
     `normal(loc, scale)`.
     """
 
@@ -362,20 +346,13 @@ class DpTsUcbPolicy(Policy):
         self._closed_draws = [0] * k  # fresh draws of the arm's closed epochs
         self._scale = np.full(k, math.sqrt(self._ln_pow), dtype=np.float64)
         self._max_model = np.full(k, -math.inf, dtype=np.float64)
-        # Python-float access to the per-arm scalar path's buffers
-        self._theta_view = memoryview(self._theta)
-        self._max_view = memoryview(self._max_model)
         # The live-arm cache, rebuilt by _refresh once _rounds reaches
-        # _stale_at.  At most FEW live arms: _draws holds (arm, loc, scale)
-        # for each, _live is None, and (_best, _top) is the first argmax of
-        # the other arms' epoch maxima (_top is -inf when every arm is live).
-        # More: _live indexes them and _live_loc/_live_scale are the normal()
-        # arguments.  _theta holds the epoch max of every arm that does not
-        # draw.
+        # _stale_at: the live arms in arm order, their normal() arguments, and
+        # (_best, _top), the first argmax of the other arms' epoch maxima.
+        # _theta holds the epoch max of every arm that does not draw.
         self._stale_at = 0
-        self._draws: list[tuple[int, float, float]] = []
-        self._live: slice | np.ndarray | None = None
-        self._live_loc = self._live_scale = self._mu_hat
+        self._live = np.empty(0, dtype=np.intp)
+        self._live_loc = self._live_scale = self._mu_hat[:0]
         self._best, self._top = -1, -math.inf
 
     def arm_state(self, arm: int) -> ArmState:
@@ -400,39 +377,22 @@ class DpTsUcbPolicy(Policy):
         if self._rounds >= self._stale_at:
             self._refresh()
         self._rounds += 1
-        live = self._live
-        if live is not None:
-            theta = self._theta
-            theta[live] = self._rng.normal(self._live_loc, self._live_scale)
-            np.maximum(self._max_model, theta, out=self._max_model)
-            return int(theta.argmax())
-        normal, theta, epoch_max = self._rng.normal, self._theta_view, self._max_view
-        best, top = -1, -math.inf
-        for arm, loc, scale in self._draws:
-            model = normal(loc, scale)
-            theta[arm] = model
-            if model > epoch_max[arm]:
-                epoch_max[arm] = model
-            if model > top:
-                best, top = arm, model
-        # numpy's argmax rule: on a tie the lower index wins
-        if self._top > top or (self._top == top and self._best < best):
-            return self._best
-        return best
+        if not len(self._live):
+            return self._best  # _theta holds every arm's epoch max
+        theta = self._theta
+        theta[self._live] = self._rng.normal(self._live_loc, self._live_scale)
+        np.maximum(self._max_model, theta, out=self._max_model)
+        return int(theta.argmax())
 
     def _refresh(self) -> None:
         """Rebuild the live-arm cache for the current round count."""
         rounds = self._rounds
         live = [arm for arm, expiry in enumerate(self._expiry) if expiry > rounds]
         self._stale_at = min((self._expiry[arm] for arm in live), default=math.inf)
+        self._live = np.array(live, dtype=np.intp)
+        self._live_loc = self._mu_hat[self._live]
+        self._live_scale = self._scale[self._live]
         np.copyto(self._theta, self._max_model)
-        if len(live) > FEW:
-            self._live = slice(None) if len(live) == self.n_arms else np.array(live)
-            self._live_loc = self._mu_hat[self._live]
-            self._live_scale = self._scale[self._live]
-            return
-        self._live = None
-        self._draws = [(arm, float(self._mu_hat[arm]), float(self._scale[arm])) for arm in live]
         maxes = self._theta.tolist()
         for arm in live:
             maxes[arm] = -math.inf
@@ -442,55 +402,30 @@ class DpTsUcbPolicy(Policy):
     def play(self, t0: int, uniforms: np.ndarray, means) -> np.ndarray:
         n = len(uniforms)
         arms = np.empty(n, dtype=np.intp)
-        paid = uniforms.tolist()
+        # the initialization rounds go through select/update
+        i = min(n, self._init_rounds - self._init_cursor)
+        arms[:i] = super().play(t0, uniforms[:i], means)
         payout = np.asarray(means, dtype=np.float64)
-        i = 0
         while i < n:
-            if self._init_cursor >= self._init_rounds:
-                if self._rounds >= self._stale_at:
-                    self._refresh()
-                if self._live is None:
-                    if self._draws:
-                        i = self._stride_live(i, uniforms, payout, arms)
-                        continue
-                    i = self._stride_spent(i, uniforms, payout, arms)
-                    if i == n:
-                        break
-            # one reference round: initialization, more than FEW live arms, or
-            # the round that closes the epoch of a stage-A stretch
-            arm = self.select(t0 + i)
-            self.update(arm, 1.0 if paid[i] < means[arm] else 0.0)
-            arms[i] = arm
-            i += 1
+            i = self._stride(i, uniforms, payout, arms)
         return arms
 
-    def _stride_spent(self, i: int, uniforms: np.ndarray, means: np.ndarray,
-                      arms: np.ndarray) -> int:
-        """Stage A: settle the rounds from index i up to the one that would
-        close the pulled arm's epoch, or to the block end, and return the
-        index where that stops."""
-        arm = self._best
-        stop = min(i + (1 << self._epoch[arm]) - self._unprocessed[arm] - 1, len(uniforms))
-        arms[i:stop] = arm
-        self._unprocessed[arm] += stop - i
-        self._pending[arm] += int(np.count_nonzero(uniforms[i:stop] < means[arm]))
-        self._rounds += stop - i
-        return stop
-
-    def _stride_live(self, i: int, uniforms: np.ndarray, means: np.ndarray,
-                     arms: np.ndarray) -> int:
-        """Stage B: settle the rounds from index i in chunks up to the next
-        epoch close or budget expiry, or to the block end, and return the
-        index where that stops."""
+    def _stride(self, i: int, uniforms: np.ndarray, means: np.ndarray,
+                arms: np.ndarray) -> int:
+        """Settle the rounds from index i in chunks up to the next epoch close
+        or budget expiry, or to the block end, and return the index where
+        that stops."""
+        if self._rounds >= self._stale_at:
+            self._refresh()
         rng, n = self._rng, len(uniforms)
-        live = [arm for arm, _, _ in self._draws]
-        live_arms = np.array(live)
         # an epoch close, the only change to these, ends the stretch
-        loc, scale = self._mu_hat[live_arms], self._scale[live_arms]
+        live_arms, loc, scale = self._live, self._live_loc, self._live_scale
+        live = live_arms.tolist()
+        rows = max(1, BLOCK_SIZE // max(1, len(live)))
         # The candidate pulls in arm order, so that argmax keeps _round's
         # tie rule: the live arms, and the best reused epoch max unless
-        # every arm is live (then _best is a live arm and _top is -inf).
-        every_arm_live = self._top == -math.inf
+        # every arm is live.
+        every_arm_live = len(live) == self.n_arms
         candidates = live if every_arm_live else sorted(live + [self._best])
         columns = np.arange(len(candidates))
         live_columns = [candidates.index(arm) for arm in live]
@@ -499,7 +434,7 @@ class DpTsUcbPolicy(Policy):
         while True:
             # rewards each candidate still needs to close its epoch
             left = [(1 << epoch[arm]) - unprocessed[arm] for arm in candidates]
-            m = min(CHUNK_ROUNDS, n - i, self._stale_at - self._rounds)
+            m = min(rows, n - i, self._stale_at - self._rounds)
             may_close = min(left) <= m
             if may_close:
                 state = rng.bit_generator.state

@@ -38,7 +38,7 @@ CASES = {
         False,
     ),
     # K=12 dp-ts-ucb: at alpha 0.5 and 1 the live sets shrink from all twelve
-    # arms to none, so rounds run on both sides of policies.FEW
+    # arms to few or none and grow again as epochs close
     "dp-ts-ucb-k12": (
         ["run", "--policies", "dp-ts-ucb", "--alpha", "0,0.5,1", "--T", "3000",
          "--means", "0.9,0.85,0.8,0.75,0.7,0.65,0.6,0.55,0.5,0.45,0.4,0.35", *_RUN],

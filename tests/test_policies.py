@@ -9,8 +9,6 @@ from dpbandits.env import BLOCK_SIZE, BanditInstance, RngStream
 from dpbandits.harness import _drive
 from dpbandits.policies import (
     BUDGET_SCALE,
-    CHUNK_ROUNDS,
-    FEW,
     VARIANTS,
     DpTsUcbConfig,
     DpTsUcbPolicy,
@@ -339,7 +337,7 @@ def _reusing_policy(n_arms, n_live, rng):
     return policy, live
 
 
-@pytest.mark.parametrize("n_live", [FEW, FEW + 1])
+@pytest.mark.parametrize("n_live", [8, 9])
 def test_both_draw_paths_release_a_twin_generators_models(n_live):
     n_arms = 2 * n_live + 1
     policy, live = _reusing_policy(n_arms, n_live, RngStream(31).generator())
@@ -365,7 +363,7 @@ class MeanOnly:
         return loc
 
 
-@pytest.mark.parametrize("n_arms", [FEW, FEW + 1])
+@pytest.mark.parametrize("n_arms", [8, 9])
 def test_tied_models_pull_the_lower_index_on_either_draw_path(n_arms):
     policy = DpTsUcbPolicy(n_arms, 1000, 0.0, MeanOnly())
     top = (1, n_arms - 1)
@@ -450,8 +448,9 @@ def _live(states):
 
 
 def _inside_stage_a(states, arm):
-    """No arm is live and the last pulled arm's epoch needs more than one
-    further reward: the next round is settled in bulk by the same stretch."""
+    """Inside stage A, a stretch with no live arm: no arm is live and the last
+    pulled arm's epoch needs more than one further reward, so the next round
+    is settled in bulk by the same stretch."""
     s = states[arm]
     return _live(states) == 0 and 0 < s.unprocessed < (1 << s.epoch) - 1
 
@@ -468,15 +467,16 @@ def test_play_matches_the_per_round_reference(n_arms, alpha):
 @pytest.mark.parametrize("n_arms, alpha", [(2, 0.0), (5, 0.0), (5, 0.5), (12, 1.0)])
 def test_play_matches_the_reference_with_short_chunks(monkeypatch, chunk, n_arms, alpha):
     # Chunks of a few rounds end on many of the epoch closes they cut at.
-    monkeypatch.setattr(policies, "CHUNK_ROUNDS", chunk)
+    monkeypatch.setattr(policies, "BLOCK_SIZE", chunk)
     for seed in range(3):
         _play_twins(n_arms, 2000, alpha, seed, _random_cuts(2000, seed))
 
 
 def test_play_matches_the_reference_when_a_block_ends_on_an_epoch_close():
     # The rounds that close an epoch, from a per-round pass; a block that ends
-    # there ends a chunk exactly on its close, and one that starts CHUNK_ROUNDS
-    # rounds before a close in a long stage-B stretch fills a whole chunk.
+    # there ends a chunk exactly on its close, and one that starts a whole
+    # chunk, BLOCK_SIZE // n_arms rounds, before a close in a long stretch with
+    # every arm live fills that chunk.
     n_arms, horizon, alpha, seed = 5, 6000, 0.0, 11
     means, uniforms = _run_inputs(n_arms, horizon, seed)
     twin = PerRound(n_arms, horizon, alpha, RngStream(seed).generator())
@@ -486,18 +486,18 @@ def test_play_matches_the_reference_when_a_block_ends_on_an_epoch_close():
         if twin.arm_state(arm).epoch != epochs[arm]:
             epochs[arm] += 1
             closes.append(t)
-    whole = [b - CHUNK_ROUNDS for a, b in zip(closes, closes[1:]) if b - a > CHUNK_ROUNDS]
+    chunk = BLOCK_SIZE // n_arms
+    whole = [b - chunk for a, b in zip(closes, closes[1:]) if b - a > chunk]
     assert len(closes) > 20 and whole
     _play_twins(n_arms, horizon, alpha, seed, closes + whole)
 
 
-def test_play_matches_the_reference_as_the_live_set_crosses_few():
-    # K=12 at alpha=0.5, seed 1: all twelve arms live, then at most FEW, then
-    # more than FEW again, seen at the ends of short blocks.
+def test_play_matches_the_reference_as_the_live_set_shrinks_and_grows():
+    # K=12 at alpha=0.5, seed 1: all twelve arms live, then fewer, then more
+    # again, seen at the ends of short blocks.
     blocks = _play_twins(12, 3000, 0.5, 1, _random_cuts(3000, 1, longest=40))
     live = [_live(states) for _, states, _ in blocks]
-    low = next(i for i, n in enumerate(live) if n <= FEW)
-    assert live[0] == 12 and any(n > FEW for n in live[low:])
+    assert live[0] == 12 and any(b > a for a, b in zip(live, live[1:]))
 
 
 def test_play_matches_the_reference_when_blocks_end_inside_stage_a_stretches():
@@ -509,15 +509,16 @@ def test_play_matches_the_reference_when_blocks_end_inside_stage_a_stretches():
 
 def test_play_matches_the_reference_with_every_arm_live():
     # alpha=0 at T=3000 gives phi > T, so no budget runs out: every arm stays
-    # live, and the candidates are the live arms alone.
-    for n_arms in (1, 2, FEW):
+    # live, and the candidates are the live arms alone.  At K=12 and K=100 a
+    # chunk is 341 and 40 rounds.
+    for n_arms in (1, 2, 8, 12, 100):
         blocks = _play_twins(n_arms, 3000, 0.0, 3, _random_cuts(3000, 3))
         assert all(_live(states) == n_arms for _, states, _ in blocks)
 
 
 def test_play_regret_at_checkpoints_inside_stage_a_stretches():
-    # alpha=1 on two arms spends nearly every round in stage A, so the
-    # BLOCK_SIZE block ends and a checkpoint at every round fall inside
+    # alpha=1 on two arms spends nearly every round with no arm live, so the
+    # BLOCK_SIZE block ends and a checkpoint at every round fall inside such
     # stretches; the traces agree hex for hex.
     instance = BanditInstance((0.9, 0.7))
     horizon = 3 * BLOCK_SIZE + 50
