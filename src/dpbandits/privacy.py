@@ -1,19 +1,19 @@
 """Gaussian trade-off privacy accounting.
 
-Standard-normal primitives (cdf, log-cdf, and the quantile, which is scipy's
-`special.ndtri`), the trade-off curve G_eta, composition, the conversion from
-a Gaussian guarantee to classical (epsilon, delta) points, the noise levels
-implied by each policy, and the variance scale that equalizes two policies'
-guarantees.
+Standard-normal primitives on the standard library (cdf and log-cdf through
+`math.erfc`, the quantile through `statistics.NormalDist.inv_cdf`), the
+trade-off curve G_eta, composition, the conversion from a Gaussian guarantee
+to classical (epsilon, delta) points, the noise levels implied by each
+policy, and the variance scale that equalizes two policies' guarantees.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import special
 
 if TYPE_CHECKING:
     from .policies import PolicyConfig
@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_erfc = np.vectorize(math.erfc, otypes=[np.float64])
+_inv_cdf = np.vectorize(NormalDist().inv_cdf, otypes=[np.float64])
 
 #: Multiplier in the per-epoch sampling budget, sqrt(2 pi e), and the base of
 #: the matched noise-level formulas below.
@@ -75,7 +78,7 @@ def _check_c(c: float) -> None:
 def std_normal_cdf(x):
     """Phi(x) through the complementary error function; scalar or ndarray."""
     arr = np.asarray(x, dtype=np.float64)
-    out = 0.5 * special.erfc(-arr / _SQRT2)
+    out = 0.5 * _erfc(-arr / _SQRT2)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -83,9 +86,13 @@ def std_normal_logcdf(x):
     """log Phi(x), accurate far into both tails.
 
     x > 0 goes through log1p(-Phi(-x)), where Phi(-x) carries full relative
-    precision, so even results around -1e-300 are faithful; the deep lower
-    tail uses the scaled complementary error function,
-    log erfc(z) = log erfcx(z) - z^2, which never underflows.
+    precision, so even results around -1e-300 are faithful.  The deep lower
+    tail x < -37 uses the asymptotic series, which never underflows:
+
+        log Phi(x) = -x^2/2 - log(-x sqrt(2 pi)) + log(1 - w + 3w^2 - 15w^3
+                     + 105w^4 - 945w^5 + 10395w^6),  w = 1/x^2,
+
+    whose first omitted term, 135135 w^7, is below 2e-17 there.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = np.empty_like(arr)
@@ -93,26 +100,29 @@ def std_normal_logcdf(x):
     deep = arr < -37.0
     mid = ~(hi | deep)
     if hi.any():
-        out[hi] = np.log1p(-0.5 * special.erfc(arr[hi] / _SQRT2))
+        out[hi] = np.log1p(-0.5 * _erfc(arr[hi] / _SQRT2))
     if mid.any():
-        out[mid] = np.log(0.5 * special.erfc(-arr[mid] / _SQRT2))
+        out[mid] = np.log(0.5 * _erfc(-arr[mid] / _SQRT2))
     if deep.any():
-        z = -arr[deep] / _SQRT2
-        with np.errstate(over="ignore"):  # z * z overflows to inf below x ~ -1.9e154
-            out[deep] = np.log(0.5 * special.erfcx(z)) - z * z
+        t = arr[deep]
+        w = (1.0 / t) ** 2
+        series = w * (-1.0 + w * (3.0 + w * (-15.0 + w * (105.0 + w * (-945.0 + w * 10395.0)))))
+        with np.errstate(over="ignore"):  # t^2 / 2 overflows to inf below t ~ -1.9e154
+            out[deep] = np.log1p(series) - np.log(-t) - _LOG_SQRT_2PI - t * (0.5 * t)
     return float(out[0]) if np.asarray(x).ndim == 0 else out
 
 
 def std_normal_quantile(p):
     """Phi^{-1}(p) for 0 < p < 1; scalar or ndarray.
 
-    This is scipy's `special.ndtri`, within a few ulps of the exact quantile
-    across the whole open interval, deep lower tail included.
+    This is `statistics.NormalDist.inv_cdf`, Wichura's algorithm AS241,
+    within a few ulps of the exact quantile across the whole open interval,
+    deep lower tail included.
     """
     arr = np.asarray(p, dtype=np.float64)
     if not ((arr > 0.0) & (arr < 1.0)).all():  # NaN fails both comparisons
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    out = special.ndtri(arr)
+    out = _inv_cdf(arr)
     return float(out) if arr.ndim == 0 else out
 
 

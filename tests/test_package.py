@@ -43,10 +43,21 @@ def test_each_export_is_its_defining_modules_object():
                 assert value.__module__ == module.__name__, name
 
 
-def test_importing_the_package_leaves_the_cli_unloaded():
-    # a fresh interpreter, so that no other test can have imported the cli first
-    script = "import sys, dpbandits\nprint('dpbandits.cli' in sys.modules)\n"
+def _modules_loaded_by(statement):
+    # a fresh interpreter, so that no other test can have imported anything first
+    script = f"import sys\n{statement}\nprint(' '.join(sys.modules))\n"
     src = str(Path(dpbandits.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    return set(done.stdout.split())
+
+
+def test_importing_the_package_leaves_the_cli_unloaded():
+    assert "dpbandits.cli" not in _modules_loaded_by("import dpbandits")
+
+
+def test_neither_the_package_nor_the_cli_loads_scipy():
+    for statement in ("import dpbandits", "import dpbandits.cli"):
+        loaded = _modules_loaded_by(statement)
+        assert {"dpbandits", "numpy"} <= loaded
+        assert not [name for name in loaded if name.split(".")[0] == "scipy"], statement

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,7 +31,13 @@ from dpbandits.privacy import (
 # reference values computed with mpmath at 60+ digits and rounded to float64
 PHI_REFS = {1.0: 0.84134474606854294859, 1.96: 0.97500210485177956379, -3.0: 0.0013498980316300945267}
 LOGPHI_REFS = {
+    -1e100: -5.000000000000000159e+199,
+    -1e3: -500007.82669481218431,
+    -50.0: -1254.8313611394199013,
     -40.0: -804.60844201375378817,
+    -37.5: -707.66898931750719107,
+    -37.000001: -689.03062260387868588,
+    -36.999999: -689.03054854990350059,
     -8.0: -35.013437159914549896,
     2.5: -0.006229025485860002381,
     8.0: -6.2209605742717860585e-16,
@@ -68,6 +75,15 @@ def test_cdf_scalar_in_scalar_out():
 @pytest.mark.parametrize("x, ref", sorted(LOGPHI_REFS.items()))
 def test_logcdf_keeps_relative_precision_in_both_tails(x, ref):
     assert std_normal_logcdf(x) == pytest.approx(ref, rel=1e-12)
+
+
+def test_logcdf_deep_tail_series_keeps_double_precision():
+    # x < -37 runs the asymptotic series; 1e-15 relative sees each of its terms
+    # down to 105 w^4 (4e-14 at the switch), where rel=1e-12 stops at 15 w^3
+    xs = -np.concatenate([np.linspace(37.000001, 40.0, 61), np.geomspace(40.0, 1e150, 60)])
+    with mpmath.workdps(40):
+        refs = [float(mpmath.log(mpmath.ncdf(x))) for x in xs]
+    assert std_normal_logcdf(xs) == pytest.approx(refs, rel=1e-15)
 
 
 def test_logcdf_matches_log_of_cdf_in_the_bulk():
