@@ -205,12 +205,14 @@ class Policy:
     one value per arm into `_theta` (a fresh or reused model, or an index) and
     returns the arm to pull.  A subclass writes `_round` and `update`; one
     that estimates each arm by the running mean of all its rewards feeds them
-    through `_observe`.
+    through `_observe` (see RunningMeanPolicy).
 
     The harness plays a block of rounds at a time through `play`.  Here it is
     the select/update loop; a subclass may override it to settle several
     rounds at once, provided it pulls the same arms and leaves its state and
-    its generator exactly where that loop would."""
+    its generator exactly where that loop would.  DpTsUcbPolicy settles the
+    rounds between two epoch events at once, and RunningMeanPolicy the rounds
+    in which one arm keeps winning."""
 
     def __init__(self, n_arms: int, init_rounds: int) -> None:
         self.n_arms = int(n_arms)
@@ -235,7 +237,11 @@ class Policy:
     def play(self, t0: int, uniforms: np.ndarray, means) -> np.ndarray:
         """Rounds t0, t0 + 1, ..., one per reward uniform: round t pulls
         `arm`, feeds `update` the Bernoulli reward `u < means[arm]`, and the
-        pulled arms come back in round order."""
+        pulled arms come back in round order.
+
+        This select/update loop is the per-round reference.  The overrides
+        send rounds through it too: the initialization rounds, and in
+        RunningMeanPolicy the rounds after a short leader run."""
         select, update = self.select, self.update
         arms = []
         for t, u in enumerate(uniforms.tolist(), start=t0):
@@ -499,14 +505,120 @@ class DpTsUcbPolicy(Policy):
         self._stale_at = self._rounds
 
 
-class GaussianThompsonPolicy(Policy):
+#: A leader window's first length in rounds.
+LEAD_ROWS = 16
+#: A leader run shorter than this many rounds is a short run.
+SHORT_RUN = 8
+#: The longest stretch of rounds sent through Policy.play after short runs.
+LONGEST_STRETCH = 4096
+
+
+class RunningMeanPolicy(Policy):
+    """A policy whose value for arm k in a round is z * sqrt(a / n_k) + mu_k,
+    where n_k and mu_k are the arm's count and running mean, and z and a
+    depend only on the round (and z on the arm).  Gaussian Thompson sampling
+    draws z from the noise and fixes a = c; UCB1 fixes z = 1 and takes
+    a = 2 ln t.  A subclass writes `_round`, `_frozen` and `_counted`, which
+    stores an arm's new count where `_round` reads it."""
+
+    def __init__(self, n_arms: int, init_rounds: int) -> None:
+        super().__init__(n_arms, init_rounds)
+        # the fallback's state, carried from block to block
+        self._window = self._stretch = LEAD_ROWS
+
+    def update(self, arm: int, reward: float) -> None:
+        self._counted(arm, self._observe(arm, reward))
+
+    def _counted(self, arm: int, n: int) -> None:
+        raise NotImplementedError
+
+    def _frozen(self, t: int, m: int) -> tuple[np.ndarray, np.ndarray, list]:
+        """Rounds t .. t+m'-1, for some 1 <= m' <= m, under the current
+        state: their (m', K) values, bit for bit what `_round` would write,
+        the (m', K) z and the m' a behind them."""
+        raise NotImplementedError
+
+    def _advance(self, rounds: int) -> None:
+        """The first `rounds` rows of the last `_frozen` window were played."""
+
+    def play(self, t0: int, uniforms: np.ndarray, means) -> np.ndarray:
+        """After the initialization, the rounds are settled in leader windows.
+
+        A pull changes only the pulled arm's count and mean.  So `_frozen`
+        builds a window's rows once under the current state, and row 0's
+        first argmax is the pull, the leader.  The other arms' values stay
+        fixed while the leader keeps winning; its own value follows a scalar
+        recurrence over the rewards it is paid.  It keeps row j while that
+        value is above the best arm before it and at least the best arm after
+        it, which is numpy's first-argmax rule.  At the first row it loses,
+        its count and mean are written back and the next window starts
+        there.  A window starts at LEAD_ROWS rows, doubles while the leader
+        fills it, starts again after a loss, and never holds more than
+        BLOCK_SIZE values.
+
+        Where the pulled arm switches often (many arms, tied arms), windows
+        cost more than they settle.  So after a run shorter than SHORT_RUN
+        rounds, the next rounds go through Policy.play: LEAD_ROWS of them,
+        twice as many after each further short run, up to LONGEST_STRETCH;
+        a longer run starts the count again.  The rule reads only the run
+        lengths the policy sees.  The arms, the state and the generator end
+        where the select/update loop leaves them."""
+        n, k = len(uniforms), self.n_arms
+        arms = np.empty(n, dtype=np.intp)
+        i = min(n, self._init_rounds - self._init_cursor)
+        arms[:i] = Policy.play(self, t0, uniforms[:i], means)
+        widest = max(1, BLOCK_SIZE // k)  # rows of at most BLOCK_SIZE values
+        window, stretch = self._window, self._stretch
+        while i < n:
+            values, z, a = self._frozen(t0 + i, min(window, widest, n - i))
+            m = len(values)
+            leader = int(values[0].argmax())
+            # the best value before and after the leader's column, per row
+            lo = values[:, :leader].max(axis=1, initial=-math.inf).tolist()
+            hi = values[:, leader + 1:].max(axis=1, initial=-math.inf).tolist()
+            paid = np.where(uniforms[i:i + m] < means[leader], 1.0, 0.0).tolist()
+            zs = z[:, leader].tolist()
+            count, mu = self._counts[leader], self._mu[leader]
+            run = 0
+            while True:
+                count += 1
+                mu += (paid[run] - mu) / count
+                run += 1
+                if run == m:
+                    break
+                value = zs[run] * math.sqrt(a[run] / count) + mu
+                if not (value > lo[run] and value >= hi[run]):
+                    break
+            self._counts[leader] = count
+            self._mu[leader] = mu
+            self._mu_hat[leader] = mu
+            self._counted(leader, count)
+            self._advance(run)
+            arms[i:i + run] = leader
+            i += run
+            window = min(2 * window, widest) if run == m else LEAD_ROWS
+            if run == m or run >= SHORT_RUN:
+                stretch = LEAD_ROWS
+            else:
+                rounds = min(stretch, n - i)
+                arms[i:i + rounds] = Policy.play(self, t0 + i, uniforms[i:i + rounds], means)
+                i += rounds
+                stretch = min(2 * stretch, LONGEST_STRETCH)
+        self._window, self._stretch = window, stretch
+        return arms
+
+
+class GaussianThompsonPolicy(RunningMeanPolicy):
     """Gaussian Thompson sampling: theta_i ~ Normal(mu_hat_i, c/n_i) for every
     arm every round, after pulling each arm b+1 times round-robin.  b=0, c=1
     is the plain baseline.
 
     Noise comes from blocks of `standard_normal` rows, one row per round;
     theta = scale * z + mu_hat is bit for bit what `rng.normal(mu_hat, scale)`
-    would return at the same point of the stream."""
+    would return at the same point of the stream.  In a leader window (see
+    RunningMeanPolicy.play) z is the noise and a is c.  A window takes its
+    rows from the current noise block and ends at the block's end; the next
+    block is drawn when a round first needs it, as `_round` draws it."""
 
     def __init__(self, n_arms: int, rng: np.random.Generator, b: int = 0, c: float = 1.0) -> None:
         super().__init__(n_arms, (int(b) + 1) * int(n_arms))
@@ -528,12 +640,28 @@ class GaussianThompsonPolicy(Policy):
         theta += self._mu_hat
         return int(theta.argmax())
 
-    def update(self, arm: int, reward: float) -> None:
-        self._scale[arm] = math.sqrt(self.c / self._observe(arm, reward))
+    def _counted(self, arm: int, n: int) -> None:
+        self._scale[arm] = math.sqrt(self.c / n)
+
+    def _frozen(self, t: int, m: int) -> tuple[np.ndarray, np.ndarray, list]:
+        if self._row == self._block_rows:
+            self._noise = self._rng.standard_normal((self._block_rows, self.n_arms))
+            self._row = 0
+        z = self._noise[self._row:self._row + m]
+        values = z * self._scale
+        values += self._mu_hat
+        return values, z, [self.c] * len(z)
+
+    def _advance(self, rounds: int) -> None:
+        self._row += rounds
 
 
-class Ucb1Policy(Policy):
-    """UCB1: pull argmax of mu_hat_i + sqrt(2 ln t / n_i) after one pull each."""
+class Ucb1Policy(RunningMeanPolicy):
+    """UCB1: pull argmax of mu_hat_i + sqrt(2 ln t / n_i) after one pull each.
+
+    In a leader window (see RunningMeanPolicy.play) z is 1 and a is 2 ln t,
+    taken per round with `math.log` as `_round` takes it: numpy's vectorized
+    log does not always round the same way."""
 
     def __init__(self, n_arms: int) -> None:
         super().__init__(n_arms, n_arms)
@@ -545,8 +673,15 @@ class Ucb1Policy(Policy):
         index += self._mu_hat
         return int(index.argmax())
 
-    def update(self, arm: int, reward: float) -> None:
-        self._n[arm] = self._observe(arm, reward)
+    def _counted(self, arm: int, n: int) -> None:
+        self._n[arm] = n
+
+    def _frozen(self, t: int, m: int) -> tuple[np.ndarray, np.ndarray, list]:
+        twolog = [2.0 * math.log(s) for s in range(t, t + m)]
+        values = np.divide.outer(twolog, self._n)
+        np.sqrt(values, out=values)
+        values += self._mu_hat
+        return values, np.broadcast_to(1.0, values.shape), twolog
 
 
 def make_policy(config: PolicyConfig, n_arms: int, rng: np.random.Generator) -> Policy:

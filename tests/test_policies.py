@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -447,10 +448,10 @@ def _live(states):
     return sum(s.budget > 0 for s in states)
 
 
-def _inside_stage_a(states, arm):
-    """Inside stage A, a stretch with no live arm: no arm is live and the last
-    pulled arm's epoch needs more than one further reward, so the next round
-    is settled in bulk by the same stretch."""
+def _inside_a_stretch_with_no_live_arm(states, arm):
+    """No arm is live and the last pulled arm's epoch needs more than one
+    further reward, so the next round is settled in bulk by the same
+    stretch."""
     s = states[arm]
     return _live(states) == 0 and 0 < s.unprocessed < (1 << s.epoch) - 1
 
@@ -502,9 +503,10 @@ def test_play_matches_the_reference_as_the_live_set_shrinks_and_grows():
 
 def test_play_matches_the_reference_when_blocks_end_inside_stage_a_stretches():
     # K=12 at alpha=1: after the first phi rounds no arm is live most of the
-    # time, so many short blocks end inside a stage-A stretch.
+    # time, so many short blocks end inside a stretch with no live arm.
     blocks = _play_twins(12, 3000, 1.0, 7, _random_cuts(3000, 7, longest=40))
-    assert sum(_inside_stage_a(states, arm) for _, states, arm in blocks) > 50
+    assert sum(_inside_a_stretch_with_no_live_arm(states, arm)
+               for _, states, arm in blocks) > 50
 
 
 def test_play_matches_the_reference_with_every_arm_live():
@@ -531,7 +533,8 @@ def test_play_regret_at_checkpoints_inside_stage_a_stretches():
     assert [v.hex() for v in trace] == [v.hex() for v in reference]
     assert pulls == reference_pulls
     blocks = _play_twins(2, horizon, 1.0, 4, range(BLOCK_SIZE, horizon, BLOCK_SIZE))
-    assert all(_inside_stage_a(states, arm) for _, states, arm in blocks[:-1])
+    assert all(_inside_a_stretch_with_no_live_arm(states, arm)
+               for _, states, arm in blocks[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +640,184 @@ def test_ucb1_breaks_ties_toward_the_lowest_arm():
     for arm in range(3):
         policy.update(arm, 1.0)
     assert policy.select(4) == 0
+
+
+# ---------------------------------------------------------------------------
+# the baselines' play against the per-round reference
+
+
+class PerRoundThompson(GaussianThompsonPolicy):
+    """The reference: plays through Policy.play's select/update loop."""
+
+    play = Policy.play
+
+
+class PerRoundUcb1(Ucb1Policy):
+    """The reference: plays through Policy.play's select/update loop."""
+
+    play = Policy.play
+
+
+def _baselines(kind, n_arms, seed, b=0, c=1.0):
+    """A baseline of one kind and its per-round twin on a twin generator."""
+    if kind == "ucb1":
+        return Ucb1Policy(n_arms), PerRoundUcb1(n_arms)
+    return (GaussianThompsonPolicy(n_arms, RngStream(seed).generator(), b, c),
+            PerRoundThompson(n_arms, RngStream(seed).generator(), b, c))
+
+
+def _baseline_state(policy):
+    """The counts and means, and the array `_counted` writes the count into."""
+    per_count = policy._scale if isinstance(policy, GaussianThompsonPolicy) else policy._n
+    return (policy._counts, [v.hex() for v in policy._mu], policy._mu_hat.tobytes(),
+            per_count.tobytes())
+
+
+def _next_round(policy, t):
+    """The next round's select_with_models and one rng.random(), taken on a
+    copy so that the run goes on undisturbed; None during initialization."""
+    if policy._init_cursor < policy._init_rounds:
+        return None
+    probe = copy.deepcopy(policy)
+    arm, theta = probe.select_with_models(t)
+    rng = getattr(probe, "_rng", None)
+    return arm, theta.tobytes(), rng.random() if rng else None
+
+
+def _play_baseline_twins(kind, means, horizon, seed, cuts, b=0, c=1.0):
+    """Rounds 1..horizon through the baseline's play and through its
+    per-round twin, with the same rewards, in blocks that end after each
+    round in `cuts` and at the horizon.  After every block the pulled arms,
+    the counts, means and count-derived arrays, the next round's
+    select_with_models and the generators agree.  Returns the pulled arms."""
+    policy, twin = _baselines(kind, len(means), seed, b, c)
+    uniforms = np.random.default_rng(seed + 1).random(horizon)
+    pulled, start = [], 1
+    for stop in sorted({int(t) for t in cuts if 1 <= t < horizon} | {horizon}):
+        block = uniforms[start - 1:stop]
+        arms = policy.play(start, block, means)
+        assert np.array_equal(arms, twin.play(start, block, means)), (start, stop)
+        assert _baseline_state(policy) == _baseline_state(twin), (start, stop)
+        assert _next_round(policy, stop + 1) == _next_round(twin, stop + 1), (start, stop)
+        pulled += arms.tolist()
+        start = stop + 1
+    return pulled
+
+
+def _switches(arms):
+    """The rounds (1-based) after which the pulled arm changes."""
+    return [t for t in range(1, len(arms)) if arms[t] != arms[t - 1]]
+
+
+BASELINES = [("ts", 0, 1.0), ("m-ts", 3, 2.5), ("ucb1", 0, 1.0)]
+
+
+@pytest.mark.parametrize("kind, b, c", BASELINES)
+@pytest.mark.parametrize("n_arms", [1, 2, 5, 100])
+def test_baseline_play_matches_the_per_round_reference(kind, b, c, n_arms):
+    horizon = 1500 if n_arms == 100 else 4000
+    for seed in range(2 if n_arms == 100 else 4):
+        means, _ = _run_inputs(n_arms, horizon, seed)
+        _play_baseline_twins(kind, means, horizon, seed, _random_cuts(horizon, seed), b, c)
+
+
+@pytest.mark.parametrize("kind, b, c", BASELINES)
+@pytest.mark.parametrize("means", [(0.5, 0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (0.5,) * 12])
+def test_baseline_play_matches_the_reference_on_tied_and_certain_arms(kind, b, c, means):
+    for seed in range(3):
+        _play_baseline_twins(kind, means, 3000, seed, _random_cuts(3000, seed, longest=300), b, c)
+
+
+@pytest.mark.parametrize("kind, b, c", BASELINES)
+def test_baseline_play_matches_the_reference_when_blocks_end_on_a_switch(kind, b, c):
+    # The switches from a first pass; blocks that end on a switch, one round
+    # before it and one round after it.
+    means, horizon, seed = (0.6, 0.55, 0.5, 0.45), 5000, 9
+    arms = _play_baseline_twins(kind, means, horizon, seed, [], b, c)
+    switches = _switches(arms)
+    assert len(switches) > 50
+    cuts = [t + d for t in switches[::3] for d in (-1, 0, 1)]
+    assert _play_baseline_twins(kind, means, horizon, seed, cuts, b, c) == arms
+
+
+@pytest.mark.parametrize("n_arms", [2, 5])
+def test_thompson_play_matches_the_reference_across_noise_blocks(n_arms):
+    # One arm that always pays and others that never do: the leader fills its
+    # windows, which stop at each noise block's end.  Blocks end on those
+    # ends and one round to either side.
+    means = (1.0,) + (0.0,) * (n_arms - 1)
+    rows = BLOCK_SIZE // n_arms
+    horizon = n_arms + 3 * rows + 10
+    ends = [n_arms + j * rows + d for j in (1, 2, 3) for d in (-1, 0, 1)]
+    for kind, b, c in BASELINES[:2]:
+        arms = _play_baseline_twins(kind, means, horizon, 0, ends, b, c)
+        assert arms[-1] == 0
+
+
+def test_matched_thompson_play_matches_the_reference_when_the_initialization_spans_blocks():
+    # b=2000 on three arms is 6003 round-robin rounds, more than BLOCK_SIZE.
+    means, horizon = (0.9, 0.8, 0.7), 9000
+    cuts = list(range(BLOCK_SIZE, horizon, BLOCK_SIZE)) + [6002, 6003, 6004]
+    _play_baseline_twins("m-ts", means, horizon, 1, cuts, 2000, 9.0)
+    _play_baseline_twins("m-ts", means, horizon, 2, _random_cuts(horizon, 2), 2000, 9.0)
+
+
+@pytest.mark.parametrize("lead_rows, short_run, longest", [
+    (1, 0, 1), (2, 1, 2), (3, 100, 5), (1, 2, 3), (16, 8, 1)])
+@pytest.mark.parametrize("block_size", [1, 7, 4096])
+def test_baseline_play_matches_the_reference_with_short_windows_and_backoffs(
+        monkeypatch, lead_rows, short_run, longest, block_size):
+    # short_run=0 never falls back to the per-round loop, 100 always does;
+    # a small BLOCK_SIZE bounds every window and noise block to a few rows.
+    monkeypatch.setattr(policies, "LEAD_ROWS", lead_rows)
+    monkeypatch.setattr(policies, "SHORT_RUN", short_run)
+    monkeypatch.setattr(policies, "LONGEST_STRETCH", longest)
+    monkeypatch.setattr(policies, "BLOCK_SIZE", block_size)
+    for kind, b, c in BASELINES:
+        for means in ((0.7, 0.6, 0.5), (0.5, 0.5)):
+            _play_baseline_twins(kind, means, 1500, 4, _random_cuts(1500, 4, longest=200), b, c)
+
+
+@pytest.mark.parametrize("kind, b, c", BASELINES)
+def test_baseline_play_regret_at_every_round(kind, b, c):
+    # _drive's blocks of BLOCK_SIZE, a checkpoint at every round: the traces
+    # agree hex for hex.
+    instance = BanditInstance((0.9, 0.8, 0.7))
+    horizon = 2 * BLOCK_SIZE + 50
+    rounds = tuple(range(1, horizon + 1))
+    traces = [_drive(policy, instance, horizon, rounds, np.random.default_rng(5))
+              for policy in _baselines(kind, 3, 4, b, c)]
+    (trace, pulls), (reference, reference_pulls) = traces
+    assert [v.hex() for v in trace] == [v.hex() for v in reference]
+    assert pulls == reference_pulls
+
+
+def test_a_leader_tied_by_a_later_arm_keeps_the_round_inside_its_window(monkeypatch):
+    # numpy's first argmax gives a tie to the lower index, so the window keeps
+    # the leader's run going through a tie with a later arm.  UCB1 on two
+    # arms that always pay, with counts 1 and 3: arm 0 leads, ties arm 1 on
+    # its third round and loses on its fourth.
+    monkeypatch.setattr(policies, "SHORT_RUN", 0)
+    policy = Ucb1Policy(2)
+    for arm in (0, 1, 1, 1):
+        policy.update(arm, 1.0)
+    runs = []
+    policy._advance = runs.append
+    arms = policy.play(5, np.zeros(6), (1.0, 1.0))
+    assert runs[0] == 3 and arms.tolist()[:4] == [0, 0, 0, 1]
+
+
+def test_ucb1_window_rows_are_the_per_round_indexes():
+    # At t = 9170 and 19143, 2.0 * np.log(t) is one ulp off 2.0 * math.log(t)
+    # on some builds; every row must be the index _round computes.
+    policy = Ucb1Policy(2)
+    for arm, reward in ((0, 1.0), (1, 0.0), (1, 1.0)):
+        policy.update(arm, reward)
+    rows = BLOCK_SIZE // 2
+    for t in range(3, 20000, rows):
+        values, _, _ = policy._frozen(t, rows)
+        expected = [policy.select_with_models(t + j)[1] for j in range(len(values))]
+        assert values.tobytes() == np.array(expected).tobytes(), t
 
 
 # ---------------------------------------------------------------------------
