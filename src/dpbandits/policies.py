@@ -313,20 +313,24 @@ class DpTsUcbPolicy(Policy):
 
     `select`, `_round` and `update` are the per-round reference.  After the
     initialization rounds, `play` settles the stretches between two such
-    events in bulk, whatever the size of the live set.  A chunk of at most
-    `BLOCK_SIZE // live` rounds (at least one), and of no more than are left
-    before a budget runs out, draws `standard_normal((rounds, live))`.
-    `z * scale + loc` is bit for bit the per-round `rng.normal(loc, scale)`,
-    and each row's first argmax over the live models and the best reused
-    epoch max is the pull; with no live arm nothing is drawn and every round
-    pulls that max.  If an epoch closes inside the chunk, the chunk is cut
-    after that round: the generator's state is restored and exactly the
-    variates of the rounds kept are drawn again, so `rng` stands where the
-    per-round path leaves it.  The closing round's reward goes through
-    `update`.
+    events in bulk, whatever the size of the live set.  The per-round
+    `rng.normal(loc, scale)` reads the next `live` values of one flat stream
+    of standard normals, whatever the row width, and `z * scale + loc` is
+    bit for bit its result.  So `play` carries that stream in a buffer: a
+    chunk is as many whole rows as the buffer holds, and no more than are
+    left before a budget runs out, and each row's first argmax over the live
+    models and the best reused epoch max is the pull.  With no live arm
+    nothing is drawn and every round pulls that max.  If an epoch closes
+    inside the chunk, the chunk is cut after that round, whose reward goes
+    through `update`, and the rows after it stay in the buffer for the next
+    chunk.  A buffer holding less than one row is refilled with
+    `BLOCK_SIZE` values (at least a row) behind that leftover, and the
+    generator's state is saved first.  When `play` returns, it restores the
+    state and draws the used part of the last refill again, so `rng` stands
+    where the per-round path leaves it.
 
-    `play` needs a real `np.random.Generator`; the per-round path needs only
-    `normal(loc, scale)`.
+    `play` needs `standard_normal` and `bit_generator` of a real
+    `np.random.Generator`; the per-round path needs only `normal(loc, scale)`.
     """
 
     def __init__(
@@ -392,96 +396,91 @@ class DpTsUcbPolicy(Policy):
 
     def _refresh(self) -> None:
         """Rebuild the live-arm cache for the current round count."""
-        rounds = self._rounds
-        live = [arm for arm, expiry in enumerate(self._expiry) if expiry > rounds]
-        self._stale_at = min((self._expiry[arm] for arm in live), default=math.inf)
-        self._live = np.array(live, dtype=np.intp)
+        expiry = np.array(self._expiry)
+        is_live = expiry > self._rounds
+        self._live = np.flatnonzero(is_live)
+        self._stale_at = int(expiry[is_live].min()) if len(self._live) else math.inf
         self._live_loc = self._mu_hat[self._live]
         self._live_scale = self._scale[self._live]
         np.copyto(self._theta, self._max_model)
-        maxes = self._theta.tolist()
-        for arm in live:
-            maxes[arm] = -math.inf
-        self._best = max(range(self.n_arms), key=maxes.__getitem__)
-        self._top = maxes[self._best]
+        maxes = np.where(is_live, -math.inf, self._max_model)
+        self._best = int(maxes.argmax())
+        self._top = float(maxes[self._best])
 
     def play(self, t0: int, uniforms: np.ndarray, means) -> np.ndarray:
-        n = len(uniforms)
+        n, k = len(uniforms), self.n_arms
         arms = np.empty(n, dtype=np.intp)
         # the initialization rounds go through select/update
         i = min(n, self._init_rounds - self._init_cursor)
         arms[:i] = super().play(t0, uniforms[:i], means)
-        payout = np.asarray(means, dtype=np.float64)
-        while i < n:
-            i = self._stride(i, uniforms, payout, arms)
-        return arms
-
-    def _stride(self, i: int, uniforms: np.ndarray, means: np.ndarray,
-                arms: np.ndarray) -> int:
-        """Settle the rounds from index i in chunks up to the next epoch close
-        or budget expiry, or to the block end, and return the index where
-        that stops."""
-        if self._rounds >= self._stale_at:
-            self._refresh()
-        rng, n = self._rng, len(uniforms)
-        # an epoch close, the only change to these, ends the stretch
-        live_arms, loc, scale = self._live, self._live_loc, self._live_scale
-        live = live_arms.tolist()
-        rows = max(1, BLOCK_SIZE // max(1, len(live)))
-        # The candidate pulls in arm order, so that argmax keeps _round's
-        # tie rule: the live arms, and the best reused epoch max unless
-        # every arm is live.
-        every_arm_live = len(live) == self.n_arms
-        candidates = live if every_arm_live else sorted(live + [self._best])
-        columns = np.arange(len(candidates))
-        live_columns = [candidates.index(arm) for arm in live]
-        candidate_arms = np.array(candidates)
+        means = np.asarray(means, dtype=np.float64)
+        rng = self._rng
+        # the carried variates, the next unused one, and (the generator's
+        # state before the last refill, where that refill starts)
+        normals, used, refill = np.empty(0), 0, None
         epoch, unprocessed, pending = self._epoch, self._unprocessed, self._pending
-        while True:
-            # rewards each candidate still needs to close its epoch
-            left = [(1 << epoch[arm]) - unprocessed[arm] for arm in candidates]
-            m = min(rows, n - i, self._stale_at - self._rounds)
-            may_close = min(left) <= m
-            if may_close:
-                state = rng.bit_generator.state
-            models = rng.standard_normal((m, len(live)))
-            models *= scale
-            models += loc
-            if every_arm_live:
-                values = models
-            else:
-                values = np.empty((m, len(candidates)))
-                values[:, live_columns] = models
-                values[:, candidates.index(self._best)] = self._top
-            column = values.argmax(axis=1)
-            closed = False
-            if may_close:
-                reached = (np.cumsum(column[:, None] == columns, axis=0) == left).any(axis=1)
-                row = int(reached.argmax())
-                closed = bool(reached[row])
-                if closed and row + 1 < m:
-                    m = row + 1
-                    rng.bit_generator.state = state
-                    rng.standard_normal(m * len(live))
-                    column, models = column[:m], models[:m]
-            pulled = candidate_arms[column]
-            paid = uniforms[i:i + m] < means[pulled]
-            settled = m - closed  # a closing round goes through update
-            counts = np.bincount(column[:settled], minlength=len(candidates)).tolist()
-            sums = np.bincount(column[:settled], weights=paid[:settled],
-                               minlength=len(candidates)).tolist()
-            for arm, count, total in zip(candidates, counts, sums):
-                unprocessed[arm] += count
-                pending[arm] += total
-            self._max_model[live_arms] = np.maximum(self._max_model[live_arms], models.max(axis=0))
-            self._theta[live_arms] = models[-1]
-            self._rounds += m
-            arms[i:i + m] = pulled
-            i += m
+        while i < n:
+            # a stretch: the live set, its draw arguments and the best reused
+            # max hold until an epoch closes or a budget runs out
+            if self._rounds >= self._stale_at:
+                self._refresh()
+            live_arms, loc, scale = self._live, self._live_loc, self._live_scale
+            live, best, top = len(live_arms), self._best, self._top
+            candidates = live_arms.tolist() if live == k else live_arms.tolist() + [best]
+            # rewards each candidate still needs to close its epoch; no other
+            # arm is pulled
+            left = np.full(k, n + 1)
+            left[candidates] = [(1 << epoch[arm]) - unprocessed[arm] for arm in candidates]
+            maxima = self._max_model[live_arms]
+            start, closed = i, False
+            while not (closed or i == n or self._rounds >= self._stale_at):
+                m = min(n - i, self._stale_at - self._rounds)
+                if live:
+                    if len(normals) - used < live:  # keep the leftover, shorter than a row
+                        refill = (rng.bit_generator.state, len(normals) - used)
+                        fresh = rng.standard_normal(max(BLOCK_SIZE, live))
+                        normals, used = np.concatenate((normals[used:], fresh)), 0
+                    m = min(m, (len(normals) - used) // live)
+                    models = normals[used:used + m * live].reshape(m, live) * scale
+                    models += loc
+                    pulled = live_arms[models.argmax(axis=1)]
+                    if live < k:  # the best reused max wins if larger, or tied at a lower arm
+                        row_max = models.max(axis=1)
+                        pulled[(row_max < top) | ((row_max == top) & (pulled > best))] = best
+                else:
+                    pulled = np.full(m, best)
+                counts = np.bincount(pulled, minlength=k)
+                reached = counts >= left
+                if reached.any():  # cut after the first round that closes an epoch
+                    m = 1 + min(int((pulled == arm).nonzero()[0][left[arm] - 1])
+                                for arm in reached.nonzero()[0].tolist())
+                    closed = True
+                else:
+                    left -= counts
+                if live:
+                    np.maximum(maxima, models[:m].max(axis=0), out=maxima)
+                    last = models[m - 1]
+                    used += m * live
+                arms[i:i + m] = pulled[:m]
+                i += m
+                self._rounds += m
+            paid = uniforms[start:i] < means[arms[start:i]]
+            settled = arms[start:i - closed]  # a closing round goes through update
+            counts = np.bincount(settled, minlength=k).tolist()
+            sums = np.bincount(settled, weights=paid[:len(settled)], minlength=k).tolist()
+            for arm in candidates:
+                unprocessed[arm] += counts[arm]
+                pending[arm] += sums[arm]
+            if live:
+                self._max_model[live_arms] = maxima
+                self._theta[live_arms] = last
             if closed:
-                self.update(candidates[column[-1]], 1.0 if paid[-1] else 0.0)
-            if closed or i == n or self._rounds >= self._stale_at:
-                return i
+                self.update(int(arms[i - 1]), 1.0 if paid[-1] else 0.0)
+        if refill is not None:  # the generator stands after the variates used
+            state, fresh_at = refill
+            rng.bit_generator.state = state
+            rng.standard_normal(used - fresh_at)
+        return arms
 
     def update(self, arm: int, reward: float) -> None:
         if self._init_cursor < self._init_rounds:

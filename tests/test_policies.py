@@ -1,5 +1,6 @@
 import copy
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -444,6 +445,26 @@ def _random_cuts(horizon, seed, longest=700):
     return np.cumsum(sizes)
 
 
+def _block_ends(horizon, cuts):
+    """The last round of each block: after each round in `cuts`, and at the
+    horizon."""
+    return sorted({int(c) for c in cuts if 1 <= c < horizon} | {horizon})
+
+
+def _close_rounds(n_arms, horizon, alpha, seed):
+    """The rounds that close an epoch, from a per-round pass on _play_twins'
+    inputs."""
+    means, uniforms = _run_inputs(n_arms, horizon, seed)
+    twin = PerRound(n_arms, horizon, alpha, RngStream(seed).generator())
+    closes, epochs = [], [1] * n_arms
+    for t in range(1, horizon + 1):
+        arm = twin.play(t, uniforms[t - 1:t], means)[0]
+        if twin.arm_state(arm).epoch != epochs[arm]:
+            epochs[arm] += 1
+            closes.append(t)
+    return closes
+
+
 def _live(states):
     return sum(s.budget > 0 for s in states)
 
@@ -479,14 +500,7 @@ def test_play_matches_the_reference_when_a_block_ends_on_an_epoch_close():
     # chunk, BLOCK_SIZE // n_arms rounds, before a close in a long stretch with
     # every arm live fills that chunk.
     n_arms, horizon, alpha, seed = 5, 6000, 0.0, 11
-    means, uniforms = _run_inputs(n_arms, horizon, seed)
-    twin = PerRound(n_arms, horizon, alpha, RngStream(seed).generator())
-    closes, epochs = [], [1] * n_arms
-    for t in range(1, horizon + 1):
-        arm = twin.play(t, uniforms[t - 1:t], means)[0]
-        if twin.arm_state(arm).epoch != epochs[arm]:
-            epochs[arm] += 1
-            closes.append(t)
+    closes = _close_rounds(n_arms, horizon, alpha, seed)
     chunk = BLOCK_SIZE // n_arms
     whole = [b - chunk for a, b in zip(closes, closes[1:]) if b - a > chunk]
     assert len(closes) > 20 and whole
@@ -535,6 +549,99 @@ def test_play_regret_at_checkpoints_inside_stage_a_stretches():
     blocks = _play_twins(2, horizon, 1.0, 4, range(BLOCK_SIZE, horizon, BLOCK_SIZE))
     assert all(_inside_a_stretch_with_no_live_arm(states, arm)
                for _, states, arm in blocks[:-1])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_play_matches_the_reference_with_several_closes_in_one_chunk(alpha):
+    # K=100: a chunk with every arm live is BLOCK_SIZE // 100 = 40 rounds,
+    # and early epochs close after 2, 4, 8 pulls, so one chunk reaches
+    # several closes; the rounds after the first go back to the carried
+    # variates for the next chunk.
+    n_arms, horizon, seed = 100, 1500, 8
+    chunk = BLOCK_SIZE // n_arms
+    closes = _close_rounds(n_arms, horizon, alpha, seed)
+    assert max(np.searchsorted(closes, np.array(closes) + chunk) - np.arange(len(closes))) >= 5
+    _play_twins(n_arms, horizon, alpha, seed, _random_cuts(horizon, seed, longest=300))
+
+
+class StandardNormalSpy:
+    """Passes `standard_normal` and `bit_generator` through to a Generator,
+    counts the values drawn and notes `policy`'s round count at each call."""
+
+    def __init__(self, rng):
+        self.bit_generator = rng.bit_generator
+        self._rng = rng
+        self.policy = None
+        self.draws = 0
+        self.rounds = []
+
+    def standard_normal(self, size):
+        self.rounds.append(self.policy._rounds)
+        out = self._rng.standard_normal(size)
+        self.draws += np.size(out)
+        return out
+
+
+def _spied_policy(n_arms, horizon, alpha, seed):
+    spy = StandardNormalSpy(RngStream(seed).generator())
+    spy.policy = DpTsUcbPolicy(n_arms, horizon, alpha, spy)
+    return spy
+
+
+@pytest.mark.parametrize("block_size, n_arms, alpha", [(7, 5, 0.0), (23, 12, 0.0), (10, 12, 0.5)])
+def test_play_matches_the_reference_when_refills_fall_inside_a_row(
+        monkeypatch, block_size, n_arms, alpha):
+    # A refill of block_size values, which n_arms does not divide, leaves a
+    # leftover shorter than a row that the next row starts with; closes land
+    # in the first round after a refill.
+    monkeypatch.setattr(policies, "BLOCK_SIZE", block_size)
+    horizon, after_refill = 2000, 0
+    for seed in range(3):
+        _play_twins(n_arms, horizon, alpha, seed, _random_cuts(horizon, seed))
+        means, uniforms = _run_inputs(n_arms, horizon, seed)
+        spy = _spied_policy(n_arms, horizon, alpha, seed)
+        spy.policy.play(1, uniforms, means)
+        closes = set(_close_rounds(n_arms, horizon, alpha, seed))
+        after_refill += sum(n_arms + r + 1 in closes for r in spy.rounds)
+    assert after_refill > 30
+
+
+def test_play_blocks_interleave_with_per_round_rounds():
+    # Blocks through play alternate with blocks through select/update on the
+    # same policy; each per-round block starts from the generator that play
+    # left, so a generator left ahead by the carried variates would show.
+    for n_arms, alpha in ((5, 0.0), (12, 0.5), (100, 0.0), (100, 1.0)):
+        horizon, seed = 1500, 9
+        means, uniforms = _run_inputs(n_arms, horizon, seed)
+        rng, twin_rng = RngStream(seed).generator(), RngStream(seed).generator()
+        policy = DpTsUcbPolicy(n_arms, horizon, alpha, rng)
+        twin = PerRound(n_arms, horizon, alpha, twin_rng)
+        start = 1
+        for block, stop in enumerate(_block_ends(horizon, _random_cuts(horizon, seed, 150))):
+            rounds = uniforms[start - 1:stop]
+            play = policy.play if block % 2 else partial(Policy.play, policy)
+            assert np.array_equal(play(start, rounds, means), twin.play(start, rounds, means))
+            assert ([policy.arm_state(a) for a in range(n_arms)]
+                    == [twin.arm_state(a) for a in range(n_arms)])
+            start = stop + 1
+        assert rng.random() == twin_rng.random()
+
+
+@pytest.mark.parametrize("n_arms, alpha", [(5, 0.0), (12, 0.5), (100, 0.0), (100, 1.0)])
+def test_play_draws_at_most_one_buffer_more_than_its_rounds_use(n_arms, alpha):
+    # The rounds use one variate per live arm, the arms' fresh draws; play
+    # carries the variates after an epoch close to the next chunk, and
+    # redraws only the used part of its last refill when it returns.
+    horizon, seed = 3000, 4
+    means, uniforms = _run_inputs(n_arms, horizon, seed)
+    spy = _spied_policy(n_arms, horizon, alpha, seed)
+    stops = _block_ends(horizon, _random_cuts(horizon, seed))
+    start = 1
+    for stop in stops:
+        spy.policy.play(start, uniforms[start - 1:stop], means)
+        start = stop + 1
+    used = sum(spy.policy.arm_state(a).fresh_draws for a in range(n_arms))
+    assert used <= spy.draws <= used + len(stops) * max(BLOCK_SIZE, n_arms)
 
 
 # ---------------------------------------------------------------------------
