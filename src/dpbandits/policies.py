@@ -210,9 +210,10 @@ class Policy:
     The harness plays a block of rounds at a time through `play`.  Here it is
     the select/update loop; a subclass may override it to settle several
     rounds at once, provided it pulls the same arms and leaves its state and
-    its generator exactly where that loop would.  DpTsUcbPolicy settles the
-    rounds between two epoch events at once, and RunningMeanPolicy the rounds
-    in which one arm keeps winning."""
+    its generator exactly where that loop would.  Both overrides settle the
+    initialization rounds through `_round_robin`; after them DpTsUcbPolicy
+    settles the rounds between two epoch events at once, and
+    RunningMeanPolicy windows of rounds whose winners stand."""
 
     def __init__(self, n_arms: int, init_rounds: int) -> None:
         self.n_arms = int(n_arms)
@@ -240,8 +241,8 @@ class Policy:
         pulled arms come back in round order.
 
         This select/update loop is the per-round reference.  The overrides
-        send rounds through it too: the initialization rounds, and in
-        RunningMeanPolicy the rounds after a short leader run."""
+        settle most rounds in bulk; RunningMeanPolicy still plays the rounds
+        after a short run through this loop."""
         select, update = self.select, self.update
         arms = []
         for t, u in enumerate(uniforms.tolist(), start=t0):
@@ -255,6 +256,32 @@ class Policy:
 
     def update(self, arm: int, reward: float) -> None:
         raise NotImplementedError
+
+    def _round_robin(self, uniforms: np.ndarray, means, arms: np.ndarray) -> int:
+        """Settle the initialization rounds at the head of a block at once:
+        round j pulls arm (cursor + j) % K, written to arms[j], and each arm
+        folds its rewards into its count and running mean in pull order, as
+        `_observe` does, and stores its count through `_counted`.  Returns
+        the number of such rounds."""
+        k = self.n_arms
+        m = min(len(uniforms), self._init_rounds - self._init_cursor)
+        if m == 0:  # no numpy work once the initialization is over
+            return 0
+        arms[:m] = (self._init_cursor + np.arange(m)) % k
+        paid = np.where(uniforms[:m] < np.asarray(means)[arms[:m]], 1.0, 0.0).tolist()
+        for j, arm in enumerate(arms[:min(k, m)].tolist()):
+            n, mu = self._counts[arm], self._mu[arm]
+            for reward in paid[j::k]:
+                n += 1
+                mu += (reward - mu) / n
+            self._counts[arm] = n
+            self._mu[arm] = self._mu_hat[arm] = mu
+            self._counted(arm, n)
+        self._init_cursor += m
+        return m
+
+    def _counted(self, arm: int, n: int) -> None:
+        """Store an arm's new count where `_round` reads it (nothing here)."""
 
     def _observe(self, arm: int, reward: float) -> int:
         """Count one reward off the initialization rounds, if any are left,
@@ -410,10 +437,8 @@ class DpTsUcbPolicy(Policy):
     def play(self, t0: int, uniforms: np.ndarray, means) -> np.ndarray:
         n, k = len(uniforms), self.n_arms
         arms = np.empty(n, dtype=np.intp)
-        # the initialization rounds go through select/update
-        i = min(n, self._init_rounds - self._init_cursor)
-        arms[:i] = super().play(t0, uniforms[:i], means)
         means = np.asarray(means, dtype=np.float64)
+        i = self._round_robin(uniforms, means, arms)
         rng = self._rng
         # the carried variates, the next unused one, and (the generator's
         # state before the last refill, where that refill starts)
@@ -508,6 +533,8 @@ class DpTsUcbPolicy(Policy):
 LEAD_ROWS = 16
 #: A leader run shorter than this many rounds is a short run.
 SHORT_RUN = 8
+#: A settled window that keeps fewer than this many rows is a short run.
+SHORT_SETTLE = 64
 #: The longest stretch of rounds sent through Policy.play after short runs.
 LONGEST_STRETCH = 4096
 
@@ -518,7 +545,12 @@ class RunningMeanPolicy(Policy):
     depend only on the round (and z on the arm).  Gaussian Thompson sampling
     draws z from the noise and fixes a = c; UCB1 fixes z = 1 and takes
     a = 2 ln t.  A subclass writes `_round`, `_frozen` and `_counted`, which
-    stores an arm's new count where `_round` reads it."""
+    stores an arm's new count where `_round` reads it, and sets
+    `_settles_switches` when its windows may switch arms (see `play`)."""
+
+    #: Whether a window whose frozen rows pick different arms is settled in
+    #: one pass, or ends where its first winner first loses.
+    _settles_switches: ClassVar[bool] = False
 
     def __init__(self, n_arms: int, init_rounds: int) -> None:
         super().__init__(n_arms, init_rounds)
@@ -527,9 +559,6 @@ class RunningMeanPolicy(Policy):
 
     def update(self, arm: int, reward: float) -> None:
         self._counted(arm, self._observe(arm, reward))
-
-    def _counted(self, arm: int, n: int) -> None:
-        raise NotImplementedError
 
     def _frozen(self, t: int, m: int) -> tuple[np.ndarray, np.ndarray, list]:
         """Rounds t .. t+m'-1, for some 1 <= m' <= m, under the current
@@ -541,62 +570,67 @@ class RunningMeanPolicy(Policy):
         """The first `rounds` rows of the last `_frozen` window were played."""
 
     def play(self, t0: int, uniforms: np.ndarray, means) -> np.ndarray:
-        """After the initialization, the rounds are settled in leader windows.
+        """The initialization rounds go through `_round_robin`; after them,
+        the rounds are settled in windows.
 
         A pull changes only the pulled arm's count and mean.  So `_frozen`
         builds a window's rows once under the current state, and row 0's
-        first argmax is the pull, the leader.  The other arms' values stay
-        fixed while the leader keeps winning; its own value follows a scalar
-        recurrence over the rewards it is paid.  It keeps row j while that
-        value is above the best arm before it and at least the best arm after
-        it, which is numpy's first-argmax rule.  At the first row it loses,
-        its count and mean are written back and the next window starts
-        there.  A window starts at LEAD_ROWS rows, doubles while the leader
-        fills it, starts again after a loss, and never holds more than
-        BLOCK_SIZE values.
+        first argmax is the pull, the leader.  Where every frozen row picks
+        the leader, or `_settles_switches` is false, the other arms' values
+        stay fixed while the leader keeps winning, and its own follows a
+        scalar recurrence over the rewards it is paid (`_lead`).  Otherwise
+        each row pulls its frozen winner, and the rows are kept up to the
+        first whose winner no longer stands once the earlier rows' pulls are
+        counted (`_settle`).  The next window starts at the first row not
+        kept.  A window starts at LEAD_ROWS rows, doubles while every row is
+        kept, and never holds more than BLOCK_SIZE values.  After a cut it
+        starts again at LEAD_ROWS rows, or, after a settled window, at twice
+        the rows it kept.
 
-        Where the pulled arm switches often (many arms, tied arms), windows
-        cost more than they settle.  So after a run shorter than SHORT_RUN
-        rounds, the next rounds go through Policy.play: LEAD_ROWS of them,
-        twice as many after each further short run, up to LONGEST_STRETCH;
-        a longer run starts the count again.  The rule reads only the run
-        lengths the policy sees.  The arms, the state and the generator end
-        where the select/update loop leaves them."""
+        Where the pulled arm switches often under the policy's own pulls
+        (many arms, tied arms), windows cost more than they settle.  So
+        after a short run the next rounds go through Policy.play: LEAD_ROWS
+        of them, twice as many after each further short run, up to
+        LONGEST_STRETCH; a longer run starts the count again.  A leader
+        window's run is short when it keeps fewer than SHORT_RUN rows and
+        not all of them.  A settled window costs about as much as a few
+        dozen rounds of that loop however many rows it keeps, so its run is
+        short when it keeps fewer than SHORT_SETTLE rows.  The rule reads
+        only the run lengths the policy sees.  The arms, the state and the
+        generator end where the select/update loop leaves them."""
         n, k = len(uniforms), self.n_arms
         arms = np.empty(n, dtype=np.intp)
-        i = min(n, self._init_rounds - self._init_cursor)
-        arms[:i] = Policy.play(self, t0, uniforms[:i], means)
+        mean_of = np.asarray(means, dtype=np.float64)
+        i = self._round_robin(uniforms, mean_of, arms)
         widest = max(1, BLOCK_SIZE // k)  # rows of at most BLOCK_SIZE values
         window, stretch = self._window, self._stretch
         while i < n:
             values, z, a = self._frozen(t0 + i, min(window, widest, n - i))
             m = len(values)
-            leader = int(values[0].argmax())
-            # the best value before and after the leader's column, per row
-            lo = values[:, :leader].max(axis=1, initial=-math.inf).tolist()
-            hi = values[:, leader + 1:].max(axis=1, initial=-math.inf).tolist()
-            paid = np.where(uniforms[i:i + m] < means[leader], 1.0, 0.0).tolist()
-            zs = z[:, leader].tolist()
-            count, mu = self._counts[leader], self._mu[leader]
-            run = 0
-            while True:
-                count += 1
-                mu += (paid[run] - mu) / count
-                run += 1
-                if run == m:
-                    break
-                value = zs[run] * math.sqrt(a[run] / count) + mu
-                if not (value > lo[run] and value >= hi[run]):
-                    break
-            self._counts[leader] = count
-            self._mu[leader] = mu
-            self._mu_hat[leader] = mu
-            self._counted(leader, count)
+            rewards = uniforms[i:i + m]
+            if self._settles_switches:
+                winners = values.argmax(axis=1)
+                leader = int(winners[0])
+                switches = not (winners == leader).all()
+            else:
+                leader, switches = int(values[0].argmax()), False
+            if switches:
+                paid = np.where(rewards < mean_of[winners], 1.0, 0.0)
+                run = self._settle(winners, z, a, paid.tolist())
+                arms[i:i + run] = winners[:run]
+                short = run < SHORT_SETTLE
+            else:
+                paid = np.where(rewards < mean_of[leader], 1.0, 0.0)
+                run = self._lead(leader, values, z, a, paid.tolist())
+                arms[i:i + run] = leader
+                short = run < min(m, SHORT_RUN)
             self._advance(run)
-            arms[i:i + run] = leader
             i += run
-            window = min(2 * window, widest) if run == m else LEAD_ROWS
-            if run == m or run >= SHORT_RUN:
+            if run == m:
+                window = min(2 * window, widest)
+            else:
+                window = min(max(LEAD_ROWS, 2 * run), widest) if switches else LEAD_ROWS
+            if not short:
                 stretch = LEAD_ROWS
             else:
                 rounds = min(stretch, n - i)
@@ -606,6 +640,76 @@ class RunningMeanPolicy(Policy):
         self._window, self._stretch = window, stretch
         return arms
 
+    def _lead(self, leader: int, values: np.ndarray, z: np.ndarray, a: list,
+              paid: list) -> int:
+        """The leader pulls rows 0, 1, ... while it wins them and is paid
+        `paid`; returns the rows it keeps and writes its state back.  It
+        keeps row j while its value is above the best arm before it and at
+        least the best arm after it, which is numpy's first-argmax rule."""
+        m = len(values)
+        # the best value before and after the leader's column, per row
+        lo = values[:, :leader].max(axis=1, initial=-math.inf).tolist()
+        hi = values[:, leader + 1:].max(axis=1, initial=-math.inf).tolist()
+        zs = z[:, leader].tolist()
+        count, mu = self._counts[leader], self._mu[leader]
+        run = 0
+        while True:
+            count += 1
+            mu += (paid[run] - mu) / count
+            run += 1
+            if run == m:
+                break
+            value = zs[run] * math.sqrt(a[run] / count) + mu
+            if not (value > lo[run] and value >= hi[run]):
+                break
+        self._counts[leader] = count
+        self._mu[leader] = self._mu_hat[leader] = mu
+        self._counted(leader, count)
+        return run
+
+    def _settle(self, winners: np.ndarray, z: np.ndarray, a: list, paid: list) -> int:
+        """Row j pulls its frozen winner and is paid `paid[j]`; returns the
+        rows kept, those before the first row whose winner changes once the
+        earlier rows' pulls are counted, and writes their state back.
+
+        The states run through one array per quantity: index arm holds the
+        arm's state at the window's start, index K + j the pulled arm's state
+        after row j.  `before[j, arm]` indexes the arm's state before row j,
+        so row j's values are z * sqrt(a / n) + mu at those states, bit for
+        bit what `_round` would write there; row 0 is the frozen row."""
+        k, m = self.n_arms, len(winners)
+        counts, mus = self._counts[:], self._mu[:]
+        ns, means = [], []
+        for arm, reward in zip(winners.tolist(), paid):
+            n = counts[arm] + 1
+            counts[arm] = n
+            mu = mus[arm]
+            mu += (reward - mu) / n
+            mus[arm] = mu
+            ns.append(n)
+            means.append(mu)
+        rows = np.arange(m)
+        before = np.zeros((m + 1, k), dtype=np.intp)
+        before[0] = np.arange(k)
+        before[rows + 1, winners] = rows + k
+        np.maximum.accumulate(before, axis=0, out=before)
+        at = before[:m]
+        size = k + m
+        values = np.fromiter(self._counts + ns, np.float64, size)[at]
+        np.divide(np.fromiter(a, np.float64, m)[:, None], values, out=values)
+        np.sqrt(values, out=values)
+        values *= z
+        values += np.fromiter(self._mu + means, np.float64, size)[at]
+        # row 0 always stands, so argmax finds the first changed row, if any
+        kept = int((values.argmax(axis=1) != winners).argmax()) or m
+        for arm, state in enumerate(before[kept].tolist()):
+            if state >= k:  # pulled in a kept row
+                n = ns[state - k]
+                self._counts[arm] = n
+                self._mu[arm] = self._mu_hat[arm] = means[state - k]
+                self._counted(arm, n)
+        return kept
+
 
 class GaussianThompsonPolicy(RunningMeanPolicy):
     """Gaussian Thompson sampling: theta_i ~ Normal(mu_hat_i, c/n_i) for every
@@ -614,10 +718,17 @@ class GaussianThompsonPolicy(RunningMeanPolicy):
 
     Noise comes from blocks of `standard_normal` rows, one row per round;
     theta = scale * z + mu_hat is bit for bit what `rng.normal(mu_hat, scale)`
-    would return at the same point of the stream.  In a leader window (see
+    would return at the same point of the stream.  In a window (see
     RunningMeanPolicy.play) z is the noise and a is c.  A window takes its
     rows from the current noise block and ends at the block's end; the next
-    block is drawn when a round first needs it, as `_round` draws it."""
+    block is drawn when a round first needs it, as `_round` draws it.
+
+    The windows settle switches: which arm wins a row is decided by the noise
+    the window already holds, and a pull moves the pulled arm's value by
+    about 1/n, so a row's frozen winner seldom changes once the window's
+    earlier pulls are counted."""
+
+    _settles_switches = True
 
     def __init__(self, n_arms: int, rng: np.random.Generator, b: int = 0, c: float = 1.0) -> None:
         super().__init__(n_arms, (int(b) + 1) * int(n_arms))
@@ -660,7 +771,9 @@ class Ucb1Policy(RunningMeanPolicy):
 
     In a leader window (see RunningMeanPolicy.play) z is 1 and a is 2 ln t,
     taken per round with `math.log` as `_round` takes it: numpy's vectorized
-    log does not always round the same way."""
+    log does not always round the same way.  Its windows do not settle
+    switches: a UCB1 switch comes from its own state, as a pulled leader's
+    index drops, so a row frozen before that pull seldom stands after it."""
 
     def __init__(self, n_arms: int) -> None:
         super().__init__(n_arms, n_arms)

@@ -18,6 +18,7 @@ from dpbandits.policies import (
     MTsGaussianConfig,
     Policy,
     PolicyConfig,
+    RunningMeanPolicy,
     TsGaussianConfig,
     Ucb1Config,
     Ucb1Policy,
@@ -791,13 +792,14 @@ def _next_round(policy, t):
     return arm, theta.tobytes(), rng.random() if rng else None
 
 
-def _play_baseline_twins(kind, means, horizon, seed, cuts, b=0, c=1.0):
+def _play_baseline_twins(kind, means, horizon, seed, cuts, b=0, c=1.0, pair=None):
     """Rounds 1..horizon through the baseline's play and through its
     per-round twin, with the same rewards, in blocks that end after each
     round in `cuts` and at the horizon.  After every block the pulled arms,
     the counts, means and count-derived arrays, the next round's
-    select_with_models and the generators agree.  Returns the pulled arms."""
-    policy, twin = _baselines(kind, len(means), seed, b, c)
+    select_with_models and the generators agree.  Returns the pulled arms.
+    `pair` replaces the (policy, twin) that `_baselines` would build."""
+    policy, twin = pair or _baselines(kind, len(means), seed, b, c)
     uniforms = np.random.default_rng(seed + 1).random(horizon)
     pulled, start = [], 1
     for stop in sorted({int(t) for t in cuts if 1 <= t < horizon} | {horizon}):
@@ -826,6 +828,114 @@ def test_baseline_play_matches_the_per_round_reference(kind, b, c, n_arms):
     for seed in range(2 if n_arms == 100 else 4):
         means, _ = _run_inputs(n_arms, horizon, seed)
         _play_baseline_twins(kind, means, horizon, seed, _random_cuts(horizon, seed), b, c)
+
+
+def _settled_windows(monkeypatch):
+    """Every window RunningMeanPolicy._settle settles from now on, as
+    (rows, rows kept, whether its rows reach the noise block's end)."""
+    windows = []
+    settle = RunningMeanPolicy._settle
+
+    def recording(policy, winners, *args):
+        kept = settle(policy, winners, *args)
+        windows.append((len(winners), kept, policy._row + len(winners) == policy._block_rows))
+        return kept
+
+    monkeypatch.setattr(RunningMeanPolicy, "_settle", recording)
+    return windows
+
+
+@pytest.mark.parametrize("short_settle", [0, policies.SHORT_SETTLE])
+@pytest.mark.parametrize("n_arms", [2, 5, 12, 100])
+def test_settled_windows_match_the_per_round_reference(monkeypatch, n_arms, short_settle):
+    # Tied arms switch often, so the frozen rows of a window pick different
+    # arms and their winners change under the window's own pulls: on its
+    # second row, on its last row, and in between.  Settled windows run up
+    # to the noise block's end, and the next one draws the next block.
+    # SHORT_SETTLE = 0 settles every such window, K = 100's too.
+    monkeypatch.setattr(policies, "SHORT_SETTLE", short_settle)
+    windows = _settled_windows(monkeypatch)
+    horizon = 1500 if n_arms == 100 else 3000
+    means = (0.5,) * n_arms
+    for seed in range(4):
+        for kind, b, c in BASELINES[:2]:
+            _play_baseline_twins(kind, means, horizon, seed, _random_cuts(horizon, seed), b, c)
+    assert windows
+    if short_settle == 0:
+        assert any(kept == 1 for rows, kept, _ in windows)
+        assert any(kept == rows - 1 for rows, kept, _ in windows if rows > 2)
+        assert any(kept == rows for rows, kept, at_end in windows if at_end)
+
+
+class CoarseNormals:
+    """A generator whose standard normals are rounded to whole numbers, so
+    that Thompson models tie often: at z = 0 an arm's model is its mean."""
+
+    def __init__(self, seed):
+        self._rng = RngStream(seed).generator()
+
+    def standard_normal(self, size):
+        return np.round(self._rng.standard_normal(size))
+
+    def random(self):
+        return self._rng.random()
+
+
+@pytest.mark.parametrize("means", [(0.5, 0.5), (0.5, 0.5, 0.5), (0.6, 0.5, 0.5, 0.6)])
+def test_settled_windows_keep_the_first_argmax_through_ties(monkeypatch, means):
+    # A row whose winner comes to tie a lower arm changes its winner to
+    # that arm; a tie with a later arm keeps it.
+    monkeypatch.setattr(policies, "SHORT_SETTLE", 0)
+    windows = _settled_windows(monkeypatch)
+    k = len(means)
+    for seed in range(6):
+        pair = (GaussianThompsonPolicy(k, CoarseNormals(seed), 0, 1.0),
+                PerRoundThompson(k, CoarseNormals(seed), 0, 1.0))
+        _play_baseline_twins("ts", means, 2000, seed, _random_cuts(2000, seed, 300), pair=pair)
+    assert any(kept < rows for rows, kept, _ in windows)
+
+
+@pytest.mark.parametrize("kind, b, c", [
+    ("ts", 0, 1.0), ("m-ts", 1, 2.5), ("m-ts", 2000, 9.0), ("ucb1", 0, 1.0), ("dp", 0, 0.5)])
+def test_round_robin_cut_by_blocks_matches_the_per_round_reference(kind, b, c):
+    # Blocks that end inside the forced round-robin, at and around its end
+    # and, for b=2000, past the first BLOCK_SIZE rounds.  After every block
+    # the cursor, counts, means, the count-derived arrays and the generator
+    # agree.
+    n_arms, seed = 3, 11
+    means, uniforms = _run_inputs(n_arms, 8000, seed)
+    if kind == "dp":  # c is alpha
+        policy, twin = (cls(n_arms, 8000, c, RngStream(seed).generator())
+                        for cls in (DpTsUcbPolicy, PerRound))
+    else:
+        policy, twin = _baselines(kind, n_arms, seed, b, c)
+    init = policy._init_rounds
+    ends = {1, 2, n_arms + 1, init - 1, init, init + 1, init + 5, BLOCK_SIZE + 2, init + 50}
+    start = 1
+    for stop in sorted(t for t in ends if t <= init + 50):
+        block = uniforms[start - 1:stop]
+        assert np.array_equal(policy.play(start, block, means), twin.play(start, block, means))
+        for p in (policy, twin):
+            assert p._init_cursor == min(stop, init)
+        assert policy._counts == twin._counts
+        assert [v.hex() for v in policy._mu] == [v.hex() for v in twin._mu]
+        for name in ("_mu_hat", "_scale", "_n"):
+            if hasattr(policy, name):
+                assert getattr(policy, name).tobytes() == getattr(twin, name).tobytes(), name
+        rng = getattr(policy, "_rng", None)
+        if rng is not None:
+            assert copy.deepcopy(rng).random() == copy.deepcopy(twin._rng).random()
+        start = stop + 1
+
+
+def test_round_robin_reads_only_the_arms_it_writes():
+    # a block of two rounds on three arms: the buffer's third entry is not
+    # one of them
+    policy = GaussianThompsonPolicy(3, RngStream(0).generator(), b=1)
+    arms = np.full(4, 99)
+    assert policy._round_robin(np.array([0.1, 0.9]), (0.5,) * 3, arms) == 2
+    assert arms.tolist() == [0, 1, 99, 99]
+    assert (policy._counts, policy._mu, policy._init_cursor) == ([1, 1, 0], [1.0, 0.0, 0.0], 2)
 
 
 @pytest.mark.parametrize("kind, b, c", BASELINES)
