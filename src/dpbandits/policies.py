@@ -632,7 +632,7 @@ class RunningMeanPolicy(Policy):
                 window = min(max(LEAD_ROWS, 2 * run), widest) if switches else LEAD_ROWS
             if not short:
                 stretch = LEAD_ROWS
-            else:
+            elif i < n:  # a settled window may end with the block
                 rounds = min(stretch, n - i)
                 arms[i:i + rounds] = Policy.play(self, t0 + i, uniforms[i:i + rounds], means)
                 i += rounds
