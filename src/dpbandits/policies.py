@@ -261,8 +261,8 @@ class Policy:
         """Settle the initialization rounds at the head of a block at once:
         round j pulls arm (cursor + j) % K, written to arms[j], and each arm
         folds its rewards into its count and running mean in pull order, as
-        `_observe` does, and stores its count through `_counted`.  Returns
-        the number of such rounds."""
+        `_observe` does, and writes them back through `_store`.  Returns the
+        number of such rounds."""
         k = self.n_arms
         m = min(len(uniforms), self._init_rounds - self._init_cursor)
         if m == 0:  # no numpy work once the initialization is over
@@ -274,11 +274,17 @@ class Policy:
             for reward in paid[j::k]:
                 n += 1
                 mu += (reward - mu) / n
-            self._counts[arm] = n
-            self._mu[arm] = self._mu_hat[arm] = mu
-            self._counted(arm, n)
+            self._store(arm, n, mu)
         self._init_cursor += m
         return m
+
+    def _store(self, arm: int, n: int, mu: float) -> None:
+        """Write back an arm's count and running mean settled in bulk: into
+        the counts, the means, `_mu_hat` and, through `_counted`, where
+        `_round` reads the count."""
+        self._counts[arm] = n
+        self._mu[arm] = self._mu_hat[arm] = mu
+        self._counted(arm, n)
 
     def _counted(self, arm: int, n: int) -> None:
         """Store an arm's new count where `_round` reads it (nothing here)."""
@@ -350,8 +356,9 @@ class DpTsUcbPolicy(Policy):
     nothing is drawn and every round pulls that max.  If an epoch closes
     inside the chunk, the chunk is cut after that round, whose reward goes
     through `update`, and the rows after it stay in the buffer for the next
-    chunk.  A buffer holding less than one row is refilled with
-    `BLOCK_SIZE` values (at least a row) behind that leftover, and the
+    chunk.  A buffer holding less than one row is refilled behind that
+    leftover with the values the block's remaining rounds would use at the
+    current width, at most `BLOCK_SIZE` and at least a row, and the
     generator's state is saved first.  When `play` returns, it restores the
     state and draws the used part of the last refill again, so `rng` stands
     where the per-round path leaves it.
@@ -463,7 +470,7 @@ class DpTsUcbPolicy(Policy):
                 if live:
                     if len(normals) - used < live:  # keep the leftover, shorter than a row
                         refill = (rng.bit_generator.state, len(normals) - used)
-                        fresh = rng.standard_normal(max(BLOCK_SIZE, live))
+                        fresh = rng.standard_normal(max(min(BLOCK_SIZE, (n - i) * live), live))
                         normals, used = np.concatenate((normals[used:], fresh)), 0
                     m = min(m, (len(normals) - used) // live)
                     models = normals[used:used + m * live].reshape(m, live) * scale
@@ -529,186 +536,78 @@ class DpTsUcbPolicy(Policy):
         self._stale_at = self._rounds
 
 
-#: A leader window's first length in rounds.
+#: A window's first length in rounds, and a leader run's after a cut.
 LEAD_ROWS = 16
-#: A leader run shorter than this many rounds is a short run.
+#: A leader run shorter than this many rounds, and not whole, is a short run.
 SHORT_RUN = 8
-#: A settled window that keeps fewer than this many rows is a short run.
+#: A window whose rows switch arms is a short run below this many rows kept.
 SHORT_SETTLE = 64
 #: The longest stretch of rounds sent through Policy.play after short runs.
 LONGEST_STRETCH = 4096
 
 
 class RunningMeanPolicy(Policy):
-    """A policy whose value for arm k in a round is z * sqrt(a / n_k) + mu_k,
-    where n_k and mu_k are the arm's count and running mean, and z and a
-    depend only on the round (and z on the arm).  Gaussian Thompson sampling
-    draws z from the noise and fixes a = c; UCB1 fixes z = 1 and takes
-    a = 2 ln t.  A subclass writes `_round`, `_frozen` and `_counted`, which
-    stores an arm's new count where `_round` reads it, and sets
-    `_settles_switches` when its windows may switch arms (see `play`)."""
-
-    #: Whether a window whose frozen rows pick different arms is settled in
-    #: one pass, or ends where its first winner first loses.
-    _settles_switches: ClassVar[bool] = False
+    """A policy that estimates each arm by the count n_k and running mean
+    mu_k of its rewards, fed through `_observe`, so that a pull changes only
+    the pulled arm's values.  A subclass writes `_round`, `_counted`, which
+    stores an arm's new count where `_round` reads it, and `_window`, which
+    settles a window of rounds in bulk (see `play`)."""
 
     def __init__(self, n_arms: int, init_rounds: int) -> None:
         super().__init__(n_arms, init_rounds)
-        # the fallback's state, carried from block to block
-        self._window = self._stretch = LEAD_ROWS
+        # the next window's length and the fallback's, carried from block to block
+        self._rows = self._stretch = LEAD_ROWS
 
     def update(self, arm: int, reward: float) -> None:
         self._counted(arm, self._observe(arm, reward))
 
-    def _frozen(self, t: int, m: int) -> tuple[np.ndarray, np.ndarray, list]:
-        """Rounds t .. t+m'-1, for some 1 <= m' <= m, under the current
-        state: their (m', K) values, bit for bit what `_round` would write,
-        the (m', K) z and the m' a behind them."""
+    def _window(self, t: int, uniforms: np.ndarray, means: np.ndarray
+                ) -> tuple[np.ndarray, int, int, bool]:
+        """Settle a prefix of rounds t, t + 1, ..., one per reward uniform,
+        where a pull of `arm` is paid `u < means[arm]`, and write the pulled
+        arms' counts and means back through `_store`.  Returns the arms of
+        the rows kept (at least one), the rows the window held (at most one
+        per uniform), the length the next window starts at if it kept fewer,
+        and whether its run was short."""
         raise NotImplementedError
-
-    def _advance(self, rounds: int) -> None:
-        """The first `rounds` rows of the last `_frozen` window were played."""
 
     def play(self, t0: int, uniforms: np.ndarray, means) -> np.ndarray:
         """The initialization rounds go through `_round_robin`; after them,
-        the rounds are settled in windows.
-
-        A pull changes only the pulled arm's count and mean.  So `_frozen`
-        builds a window's rows once under the current state, and row 0's
-        first argmax is the pull, the leader.  Where every frozen row picks
-        the leader, or `_settles_switches` is false, the other arms' values
-        stay fixed while the leader keeps winning, and its own follows a
-        scalar recurrence over the rewards it is paid (`_lead`).  Otherwise
-        each row pulls its frozen winner, and the rows are kept up to the
-        first whose winner no longer stands once the earlier rows' pulls are
-        counted (`_settle`).  The next window starts at the first row not
-        kept.  A window starts at LEAD_ROWS rows, doubles while every row is
-        kept, and never holds more than BLOCK_SIZE values.  After a cut it
-        starts again at LEAD_ROWS rows, or, after a settled window, at twice
-        the rows it kept.
+        `_window` settles the rounds in windows, and the next window starts
+        at the first row it did not keep.  A window starts at LEAD_ROWS rows,
+        doubles while every row is kept, never holds more than BLOCK_SIZE
+        values, and after a cut starts again at the length `_window` names.
 
         Where the pulled arm switches often under the policy's own pulls
         (many arms, tied arms), windows cost more than they settle.  So
-        after a short run the next rounds go through Policy.play: LEAD_ROWS
-        of them, twice as many after each further short run, up to
-        LONGEST_STRETCH; a longer run starts the count again.  A leader
-        window's run is short when it keeps fewer than SHORT_RUN rows and
-        not all of them.  A settled window costs about as much as a few
-        dozen rounds of that loop however many rows it keeps, so its run is
-        short when it keeps fewer than SHORT_SETTLE rows.  The rule reads
-        only the run lengths the policy sees.  The arms, the state and the
-        generator end where the select/update loop leaves them."""
+        after a short run, as `_window` judges it, the next rounds go
+        through Policy.play: LEAD_ROWS of them, twice as many after each
+        further short run, up to LONGEST_STRETCH; a run that is not short
+        starts the count again.  The rule reads only the run lengths the
+        policy sees.  The arms, the state and the generator end where the
+        select/update loop leaves them."""
         n, k = len(uniforms), self.n_arms
         arms = np.empty(n, dtype=np.intp)
         mean_of = np.asarray(means, dtype=np.float64)
         i = self._round_robin(uniforms, mean_of, arms)
         widest = max(1, BLOCK_SIZE // k)  # rows of at most BLOCK_SIZE values
-        window, stretch = self._window, self._stretch
+        rows, stretch = self._rows, self._stretch
         while i < n:
-            values, z, a = self._frozen(t0 + i, min(window, widest, n - i))
-            m = len(values)
-            rewards = uniforms[i:i + m]
-            if self._settles_switches:
-                winners = values.argmax(axis=1)
-                leader = int(winners[0])
-                switches = not (winners == leader).all()
-            else:
-                leader, switches = int(values[0].argmax()), False
-            if switches:
-                paid = np.where(rewards < mean_of[winners], 1.0, 0.0)
-                run = self._settle(winners, z, a, paid.tolist())
-                arms[i:i + run] = winners[:run]
-                short = run < SHORT_SETTLE
-            else:
-                paid = np.where(rewards < mean_of[leader], 1.0, 0.0)
-                run = self._lead(leader, values, z, a, paid.tolist())
-                arms[i:i + run] = leader
-                short = run < min(m, SHORT_RUN)
-            self._advance(run)
+            kept, held, cut, short = self._window(
+                t0 + i, uniforms[i:i + min(rows, widest, n - i)], mean_of)
+            run = len(kept)
+            arms[i:i + run] = kept
             i += run
-            if run == m:
-                window = min(2 * window, widest)
-            else:
-                window = min(max(LEAD_ROWS, 2 * run), widest) if switches else LEAD_ROWS
+            rows = min(2 * rows if run == held else cut, widest)
             if not short:
                 stretch = LEAD_ROWS
-            elif i < n:  # a settled window may end with the block
+            elif i < n:  # a window may end with the block
                 rounds = min(stretch, n - i)
                 arms[i:i + rounds] = Policy.play(self, t0 + i, uniforms[i:i + rounds], means)
                 i += rounds
                 stretch = min(2 * stretch, LONGEST_STRETCH)
-        self._window, self._stretch = window, stretch
+        self._rows, self._stretch = rows, stretch
         return arms
-
-    def _lead(self, leader: int, values: np.ndarray, z: np.ndarray, a: list,
-              paid: list) -> int:
-        """The leader pulls rows 0, 1, ... while it wins them and is paid
-        `paid`; returns the rows it keeps and writes its state back.  It
-        keeps row j while its value is above the best arm before it and at
-        least the best arm after it, which is numpy's first-argmax rule."""
-        m = len(values)
-        # the best value before and after the leader's column, per row
-        lo = values[:, :leader].max(axis=1, initial=-math.inf).tolist()
-        hi = values[:, leader + 1:].max(axis=1, initial=-math.inf).tolist()
-        zs = z[:, leader].tolist()
-        count, mu = self._counts[leader], self._mu[leader]
-        run = 0
-        while True:
-            count += 1
-            mu += (paid[run] - mu) / count
-            run += 1
-            if run == m:
-                break
-            value = zs[run] * math.sqrt(a[run] / count) + mu
-            if not (value > lo[run] and value >= hi[run]):
-                break
-        self._counts[leader] = count
-        self._mu[leader] = self._mu_hat[leader] = mu
-        self._counted(leader, count)
-        return run
-
-    def _settle(self, winners: np.ndarray, z: np.ndarray, a: list, paid: list) -> int:
-        """Row j pulls its frozen winner and is paid `paid[j]`; returns the
-        rows kept, those before the first row whose winner changes once the
-        earlier rows' pulls are counted, and writes their state back.
-
-        The states run through one array per quantity: index arm holds the
-        arm's state at the window's start, index K + j the pulled arm's state
-        after row j.  `before[j, arm]` indexes the arm's state before row j,
-        so row j's values are z * sqrt(a / n) + mu at those states, bit for
-        bit what `_round` would write there; row 0 is the frozen row."""
-        k, m = self.n_arms, len(winners)
-        counts, mus = self._counts[:], self._mu[:]
-        ns, means = [], []
-        for arm, reward in zip(winners.tolist(), paid):
-            n = counts[arm] + 1
-            counts[arm] = n
-            mu = mus[arm]
-            mu += (reward - mu) / n
-            mus[arm] = mu
-            ns.append(n)
-            means.append(mu)
-        rows = np.arange(m)
-        before = np.zeros((m + 1, k), dtype=np.intp)
-        before[0] = np.arange(k)
-        before[rows + 1, winners] = rows + k
-        np.maximum.accumulate(before, axis=0, out=before)
-        at = before[:m]
-        size = k + m
-        values = np.fromiter(self._counts + ns, np.float64, size)[at]
-        np.divide(np.fromiter(a, np.float64, m)[:, None], values, out=values)
-        np.sqrt(values, out=values)
-        values *= z
-        values += np.fromiter(self._mu + means, np.float64, size)[at]
-        # row 0 always stands, so argmax finds the first changed row, if any
-        kept = int((values.argmax(axis=1) != winners).argmax()) or m
-        for arm, state in enumerate(before[kept].tolist()):
-            if state >= k:  # pulled in a kept row
-                n = ns[state - k]
-                self._counts[arm] = n
-                self._mu[arm] = self._mu_hat[arm] = means[state - k]
-                self._counted(arm, n)
-        return kept
 
 
 class GaussianThompsonPolicy(RunningMeanPolicy):
@@ -718,17 +617,26 @@ class GaussianThompsonPolicy(RunningMeanPolicy):
 
     Noise comes from blocks of `standard_normal` rows, one row per round;
     theta = scale * z + mu_hat is bit for bit what `rng.normal(mu_hat, scale)`
-    would return at the same point of the stream.  In a window (see
-    RunningMeanPolicy.play) z is the noise and a is c.  A window takes its
-    rows from the current noise block and ends at the block's end; the next
-    block is drawn when a round first needs it, as `_round` draws it.
+    would return at the same point of the stream.
 
-    The windows settle switches: which arm wins a row is decided by the noise
-    the window already holds, and a pull moves the pulled arm's value by
-    about 1/n, so a row's frozen winner seldom changes once the window's
-    earlier pulls are counted."""
+    A window (see RunningMeanPolicy.play) takes its rows from the current
+    noise block and ends at the block's end; the next block is drawn when a
+    round first needs it, as `_round` draws it.  Each row pulls its first
+    argmax under the window's start state, its frozen winner.  One Python
+    loop runs the running-mean recurrence over those pulls; numpy then
+    recomputes each row as z * sqrt(c / n) + mu from the state each arm's
+    last pull before it left, bit for bit what `_round` would write there,
+    and the rows are kept up to the first whose winner changed.  A switch
+    comes from the noise the window already holds, and a pull moves the
+    pulled arm's value by about 1/n, so a frozen winner seldom changes.
 
-    _settles_switches = True
+    A window whose frozen rows all pick one arm is judged as a leader run:
+    it is short when it keeps fewer than SHORT_RUN rows and not all of them,
+    and after a cut the next window starts at LEAD_ROWS rows.  Any other
+    window costs about as much as a few dozen rounds of the select/update
+    loop however many rows it keeps, so it is short when it keeps fewer than
+    SHORT_SETTLE rows, and after a cut the next starts at twice the rows
+    kept."""
 
     def __init__(self, n_arms: int, rng: np.random.Generator, b: int = 0, c: float = 1.0) -> None:
         super().__init__(n_arms, (int(b) + 1) * int(n_arms))
@@ -753,27 +661,71 @@ class GaussianThompsonPolicy(RunningMeanPolicy):
     def _counted(self, arm: int, n: int) -> None:
         self._scale[arm] = math.sqrt(self.c / n)
 
-    def _frozen(self, t: int, m: int) -> tuple[np.ndarray, np.ndarray, list]:
+    def _window(self, t: int, uniforms: np.ndarray, means: np.ndarray
+                ) -> tuple[np.ndarray, int, int, bool]:
         if self._row == self._block_rows:
             self._noise = self._rng.standard_normal((self._block_rows, self.n_arms))
             self._row = 0
-        z = self._noise[self._row:self._row + m]
+        z = self._noise[self._row:self._row + len(uniforms)]
+        k, m = self.n_arms, len(z)
         values = z * self._scale
         values += self._mu_hat
-        return values, z, [self.c] * len(z)
-
-    def _advance(self, rounds: int) -> None:
-        self._row += rounds
+        winners = values.argmax(axis=1)
+        paid = np.where(uniforms[:m] < means[winners], 1.0, 0.0).tolist()
+        # the pulled arm's count and mean after each row, on copies
+        counts, mus = self._counts[:], self._mu[:]
+        ns, means_after = [], []
+        for arm, reward in zip(winners.tolist(), paid):
+            n = counts[arm] + 1
+            counts[arm] = n
+            mu = mus[arm]
+            mu += (reward - mu) / n
+            mus[arm] = mu
+            ns.append(n)
+            means_after.append(mu)
+        # The states run through one array per quantity: index arm holds the
+        # arm's state at the window's start, index K + j the pulled arm's
+        # state after row j, and before[j, arm] the arm's state before row j.
+        rows = np.arange(m)
+        before = np.zeros((m + 1, k), dtype=np.intp)
+        before[0] = np.arange(k)
+        before[rows + 1, winners] = rows + k
+        np.maximum.accumulate(before, axis=0, out=before)
+        at = before[:m]
+        size = k + m
+        values = np.fromiter(self._counts + ns, np.float64, size)[at]
+        np.divide(self.c, values, out=values)
+        np.sqrt(values, out=values)
+        values *= z
+        values += np.fromiter(self._mu + means_after, np.float64, size)[at]
+        # row 0 always stands, so argmax finds the first changed row, if any
+        kept = int((values.argmax(axis=1) != winners).argmax()) or m
+        for arm, state in enumerate(before[kept].tolist()):
+            if state >= k:  # pulled in a kept row
+                self._store(arm, ns[state - k], means_after[state - k])
+        self._row += kept
+        if (winners == winners[0]).all():
+            return winners[:kept], m, LEAD_ROWS, kept < min(m, SHORT_RUN)
+        return winners[:kept], m, max(LEAD_ROWS, 2 * kept), kept < SHORT_SETTLE
 
 
 class Ucb1Policy(RunningMeanPolicy):
     """UCB1: pull argmax of mu_hat_i + sqrt(2 ln t / n_i) after one pull each.
 
-    In a leader window (see RunningMeanPolicy.play) z is 1 and a is 2 ln t,
-    taken per round with `math.log` as `_round` takes it: numpy's vectorized
-    log does not always round the same way.  Its windows do not settle
-    switches: a UCB1 switch comes from its own state, as a pulled leader's
-    index drops, so a row frozen before that pull seldom stands after it."""
+    A window (see RunningMeanPolicy.play) is a leader run.  Its rows'
+    indexes are built once under the current counts, with 2 ln t taken per
+    round by `math.log`, as `_round` takes it: numpy's vectorized log does
+    not always round the same way.  Row 0's first argmax is the pull, the
+    leader.  A pull changes only the pulled arm's index, so the other arms'
+    indexes stay fixed while the leader keeps winning, and its own follows a
+    scalar recurrence over the rewards it is paid.  It keeps row j while its
+    index is above the best arm before it and at least the best arm after
+    it, which is numpy's first-argmax rule.  The run is short when it keeps
+    fewer than SHORT_RUN rows and not all of them, and after a cut the next
+    window starts at LEAD_ROWS rows.  A UCB1 switch comes from its own
+    state, as a pulled leader's index drops, so a row frozen before that
+    pull seldom stands after it, and Thompson's pass over switching rows
+    would not pay here."""
 
     def __init__(self, n_arms: int) -> None:
         super().__init__(n_arms, n_arms)
@@ -788,13 +740,31 @@ class Ucb1Policy(RunningMeanPolicy):
     def _counted(self, arm: int, n: int) -> None:
         self._n[arm] = n
 
-    def _frozen(self, t: int, m: int) -> tuple[np.ndarray, np.ndarray, list]:
+    def _window(self, t: int, uniforms: np.ndarray, means: np.ndarray
+                ) -> tuple[np.ndarray, int, int, bool]:
+        m = len(uniforms)
         twolog = [2.0 * math.log(s) for s in range(t, t + m)]
         values = np.divide.outer(twolog, self._n)
         np.sqrt(values, out=values)
         values += self._mu_hat
-        return values, np.broadcast_to(1.0, values.shape), twolog
-
+        leader = int(values[0].argmax())
+        # the best index before and after the leader's column, per row
+        lo = values[:, :leader].max(axis=1, initial=-math.inf).tolist()
+        hi = values[:, leader + 1:].max(axis=1, initial=-math.inf).tolist()
+        paid = np.where(uniforms < means[leader], 1.0, 0.0).tolist()
+        count, mu = self._counts[leader], self._mu[leader]
+        run = 0
+        while True:
+            count += 1
+            mu += (paid[run] - mu) / count
+            run += 1
+            if run == m:
+                break
+            index = math.sqrt(twolog[run] / count) + mu
+            if not (index > lo[run] and index >= hi[run]):
+                break
+        self._store(leader, count, mu)
+        return np.full(run, leader), m, LEAD_ROWS, run < min(m, SHORT_RUN)
 
 def make_policy(config: PolicyConfig, n_arms: int, rng: np.random.Generator) -> Policy:
     """Instantiate the policy described by `config` for an n_arms instance."""

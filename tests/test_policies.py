@@ -18,7 +18,6 @@ from dpbandits.policies import (
     MTsGaussianConfig,
     Policy,
     PolicyConfig,
-    RunningMeanPolicy,
     TsGaussianConfig,
     Ucb1Config,
     Ucb1Policy,
@@ -645,6 +644,25 @@ def test_play_draws_at_most_one_buffer_more_than_its_rounds_use(n_arms, alpha):
     assert used <= spy.draws <= used + len(stops) * max(BLOCK_SIZE, n_arms)
 
 
+def test_play_draws_no_more_than_its_rounds_can_use():
+    # alpha=0 at T=3000 keeps every arm live, so each round uses K variates.
+    # A refill draws no more than the block's remaining rounds use, so a
+    # play call draws its rounds' variates, less than a row more, and again
+    # the used part of its last refill.
+    horizon, seed = 3000, 4
+    for n_arms in (5, 12, 100):
+        means, uniforms = _run_inputs(n_arms, horizon, seed)
+        spy = _spied_policy(n_arms, horizon, 0.0, seed)
+        stops = _block_ends(horizon, _random_cuts(horizon, seed, 150))
+        start = 1
+        for stop in stops:
+            spy.policy.play(start, uniforms[start - 1:stop], means)
+            start = stop + 1
+        used = sum(spy.policy.arm_state(a).fresh_draws for a in range(n_arms))
+        assert used == (horizon - n_arms) * n_arms
+        assert spy.draws <= 2 * used + len(stops) * n_arms, n_arms
+
+
 # ---------------------------------------------------------------------------
 # Gaussian Thompson baselines
 
@@ -831,17 +849,22 @@ def test_baseline_play_matches_the_per_round_reference(kind, b, c, n_arms):
 
 
 def _settled_windows(monkeypatch):
-    """Every window RunningMeanPolicy._settle settles from now on, as
-    (rows, rows kept, whether its rows reach the noise block's end)."""
+    """Every Thompson window from now on whose frozen rows pick different
+    arms, as (rows, rows kept, whether its rows reach the noise block's end)."""
     windows = []
-    settle = RunningMeanPolicy._settle
+    window = GaussianThompsonPolicy._window
 
-    def recording(policy, winners, *args):
-        kept = settle(policy, winners, *args)
-        windows.append((len(winners), kept, policy._row + len(winners) == policy._block_rows))
-        return kept
+    def recording(policy, t, uniforms, means):
+        scale, mu_hat = policy._scale.copy(), policy._mu_hat.copy()
+        pulled, rows, cut, short = window(policy, t, uniforms, means)
+        kept = len(pulled)
+        start = policy._row - kept
+        winners = (policy._noise[start:start + rows] * scale + mu_hat).argmax(axis=1)
+        if (winners != winners[0]).any():
+            windows.append((rows, kept, start + rows == policy._block_rows))
+        return pulled, rows, cut, short
 
-    monkeypatch.setattr(RunningMeanPolicy, "_settle", recording)
+    monkeypatch.setattr(GaussianThompsonPolicy, "_window", recording)
     return windows
 
 
@@ -865,6 +888,19 @@ def test_settled_windows_match_the_per_round_reference(monkeypatch, n_arms, shor
         assert any(kept == 1 for rows, kept, _ in windows)
         assert any(kept == rows - 1 for rows, kept, _ in windows if rows > 2)
         assert any(kept == rows for rows, kept, at_end in windows if at_end)
+
+
+@pytest.mark.parametrize("n_arms", [1, 3])
+def test_a_thompson_window_that_keeps_every_row_on_one_arm_is_not_short(n_arms):
+    # Arm 0 always pays and the others never do, and at c = 1e-6 their
+    # models lie far apart: every row of a LEAD_ROWS window pulls arm 0 and
+    # stands.  A whole window is never a short run, however few its rows.
+    means = np.array((1.0,) + (0.0,) * (n_arms - 1))
+    policy = GaussianThompsonPolicy(n_arms, RngStream(0).generator(), b=0, c=1e-6)
+    policy.play(1, np.zeros(n_arms), means)
+    pulled, rows, _, short = policy._window(n_arms + 1, np.zeros(policies.LEAD_ROWS), means)
+    assert pulled.tolist() == [0] * policies.LEAD_ROWS and rows == policies.LEAD_ROWS
+    assert policies.LEAD_ROWS < policies.SHORT_SETTLE and not short
 
 
 class CoarseNormals:
@@ -984,7 +1020,7 @@ def test_matched_thompson_play_matches_the_reference_when_the_initialization_spa
 @pytest.mark.parametrize("block_size", [1, 7, 4096])
 def test_baseline_play_matches_the_reference_with_short_windows_and_backoffs(
         monkeypatch, lead_rows, short_run, longest, block_size):
-    # short_run=0 never falls back to the per-round loop, 100 always does;
+    # short_run=0 never ends a leader run short, 100 always does;
     # a small BLOCK_SIZE bounds every window and noise block to a few rows.
     monkeypatch.setattr(policies, "LEAD_ROWS", lead_rows)
     monkeypatch.setattr(policies, "SHORT_RUN", short_run)
@@ -1018,22 +1054,44 @@ def test_a_leader_tied_by_a_later_arm_keeps_the_round_inside_its_window(monkeypa
     policy = Ucb1Policy(2)
     for arm in (0, 1, 1, 1):
         policy.update(arm, 1.0)
-    runs = []
-    policy._advance = runs.append
+    runs, window = [], policy._window
+    policy._window = lambda *args: runs.append(window(*args)) or runs[-1]
     arms = policy.play(5, np.zeros(6), (1.0, 1.0))
-    assert runs[0] == 3 and arms.tolist()[:4] == [0, 0, 0, 1]
+    assert runs[0][0].tolist() == [0, 0, 0] and arms.tolist()[:4] == [0, 0, 0, 1]
+
+
+class SumsSpy(np.ndarray):
+    """An array view that keeps a copy of every ufunc result it takes part
+    in: as a policy's `_mu_hat`, the index values it is added into."""
+
+    sums: list
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        self.sums.append(np.array(result))
+        return result
 
 
 def test_ucb1_window_rows_are_the_per_round_indexes():
     # At t = 9170 and 19143, 2.0 * np.log(t) is one ulp off 2.0 * math.log(t)
-    # on some builds; every row must be the index _round computes.
+    # on some builds; every row a window builds must be the index _round
+    # computes.  Both add the means last, in place.
     policy = Ucb1Policy(2)
     for arm, reward in ((0, 1.0), (1, 0.0), (1, 1.0)):
         policy.update(arm, reward)
+    policy._mu_hat = spy = policy._mu_hat.view(SumsSpy)
     rows = BLOCK_SIZE // 2
     for t in range(3, 20000, rows):
-        values, _, _ = policy._frozen(t, rows)
-        expected = [policy.select_with_models(t + j)[1] for j in range(len(values))]
+        twin = copy.deepcopy(policy)
+        twin._mu_hat = np.array(spy)
+        spy.sums = []
+        policy._window(t, np.zeros(rows), np.zeros(2))
+        values = spy.sums[0]
+        expected = [twin.select_with_models(t + j)[1] for j in range(rows)]
+        assert values.shape == (rows, 2)
         assert values.tobytes() == np.array(expected).tobytes(), t
 
 
