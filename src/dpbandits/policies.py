@@ -204,8 +204,11 @@ class Policy:
     counts them off on `_init_cursor`.  Every later round, `_round(t)` writes
     one value per arm into `_theta` (a fresh or reused model, or an index) and
     returns the arm to pull.  A subclass writes `_round` and `update`; one
-    that estimates each arm by the running mean of all its rewards feeds them
-    through `_observe` (see RunningMeanPolicy).
+    that estimates each arm by the mean of all its rewards feeds them through
+    `_observe` (see RunningMeanPolicy).  That mean is always s / n from the
+    arm's count n and reward sum s.  Sums of 0/1 rewards are exact, so the
+    mean does not depend on the order the rewards came in, and bulk code may
+    take every row's state from `np.cumsum`.
 
     The harness plays a block of rounds at a time through `play`.  Here it is
     the select/update loop; a subclass may override it to settle several
@@ -222,7 +225,7 @@ class Policy:
         self._mu_hat = np.zeros(self.n_arms, dtype=np.float64)
         self._theta = np.empty(self.n_arms, dtype=np.float64)
         self._counts = [0] * self.n_arms
-        self._mu = [0.0] * self.n_arms
+        self._sums = [0.0] * self.n_arms
 
     def select(self, t: int) -> int:
         if self._init_cursor < self._init_rounds:
@@ -259,31 +262,30 @@ class Policy:
 
     def _round_robin(self, uniforms: np.ndarray, means, arms: np.ndarray) -> int:
         """Settle the initialization rounds at the head of a block at once:
-        round j pulls arm (cursor + j) % K, written to arms[j], and each arm
-        folds its rewards into its count and running mean in pull order, as
-        `_observe` does, and writes them back through `_store`.  Returns the
-        number of such rounds."""
+        round j pulls arm (cursor + j) % K, written to arms[j], and each
+        pulled arm's count and reward sum grow by its pulls and rewards
+        through `_store`.  Returns the number of such rounds."""
         k = self.n_arms
         m = min(len(uniforms), self._init_rounds - self._init_cursor)
         if m == 0:  # no numpy work once the initialization is over
             return 0
-        arms[:m] = (self._init_cursor + np.arange(m)) % k
-        paid = np.where(uniforms[:m] < np.asarray(means)[arms[:m]], 1.0, 0.0).tolist()
-        for j, arm in enumerate(arms[:min(k, m)].tolist()):
-            n, mu = self._counts[arm], self._mu[arm]
-            for reward in paid[j::k]:
-                n += 1
-                mu += (reward - mu) / n
-            self._store(arm, n, mu)
+        pulled = arms[:m]
+        pulled[:] = (self._init_cursor + np.arange(m)) % k
+        paid = uniforms[:m] < np.asarray(means)[pulled]
+        counts = np.bincount(pulled, minlength=k).tolist()
+        sums = np.bincount(pulled, weights=paid, minlength=k).tolist()
+        for arm in pulled[:k].tolist():
+            self._store(arm, self._counts[arm] + counts[arm], self._sums[arm] + sums[arm])
         self._init_cursor += m
         return m
 
-    def _store(self, arm: int, n: int, mu: float) -> None:
-        """Write back an arm's count and running mean settled in bulk: into
-        the counts, the means, `_mu_hat` and, through `_counted`, where
-        `_round` reads the count."""
+    def _store(self, arm: int, n: int, s: float) -> None:
+        """Write back an arm's count n and reward sum s settled in bulk: into
+        the counts, the sums, `_mu_hat` (as s / n) and, through `_counted`,
+        where `_round` reads the count."""
         self._counts[arm] = n
-        self._mu[arm] = self._mu_hat[arm] = mu
+        self._sums[arm] = s
+        self._mu_hat[arm] = s / n
         self._counted(arm, n)
 
     def _counted(self, arm: int, n: int) -> None:
@@ -291,16 +293,16 @@ class Policy:
 
     def _observe(self, arm: int, reward: float) -> int:
         """Count one reward off the initialization rounds, if any are left,
-        and fold it into the arm's count and running mean (mirrored into
-        `_mu_hat`); returns the new count."""
+        and add it to the arm's count and reward sum, with `_mu_hat` set to
+        s / n as `_store` sets it; returns the new count.  It writes inline,
+        since most baseline rounds at many arms come through here."""
         if self._init_cursor < self._init_rounds:
             self._init_cursor += 1
         n = self._counts[arm] + 1
+        s = self._sums[arm] + reward
         self._counts[arm] = n
-        mu = self._mu[arm]
-        mu += (reward - mu) / n
-        self._mu[arm] = mu
-        self._mu_hat[arm] = mu
+        self._sums[arm] = s
+        self._mu_hat[arm] = s / n
         return n
 
 
@@ -359,9 +361,9 @@ class DpTsUcbPolicy(Policy):
     chunk.  A buffer holding less than one row is refilled behind that
     leftover with the values the block's remaining rounds would use at the
     current width, at most `BLOCK_SIZE` and at least a row, and the
-    generator's state is saved first.  When `play` returns, it restores the
-    state and draws the used part of the last refill again, so `rng` stands
-    where the per-round path leaves it.
+    generator's state is saved first.  When `play` returns with part of the
+    last refill unused, it restores the state and draws the used part again,
+    so `rng` stands where the per-round path leaves it.
 
     `play` needs `standard_normal` and `bit_generator` of a real
     `np.random.Generator`; the per-round path needs only `normal(loc, scale)`.
@@ -508,7 +510,7 @@ class DpTsUcbPolicy(Policy):
                 self._theta[live_arms] = last
             if closed:
                 self.update(int(arms[i - 1]), 1.0 if paid[-1] else 0.0)
-        if refill is not None:  # the generator stands after the variates used
+        if refill is not None and used < len(normals):  # a used-up refill left rng in place
             state, fresh_at = refill
             rng.bit_generator.state = state
             rng.standard_normal(used - fresh_at)
@@ -547,11 +549,11 @@ LONGEST_STRETCH = 4096
 
 
 class RunningMeanPolicy(Policy):
-    """A policy that estimates each arm by the count n_k and running mean
-    mu_k of its rewards, fed through `_observe`, so that a pull changes only
-    the pulled arm's values.  A subclass writes `_round`, `_counted`, which
-    stores an arm's new count where `_round` reads it, and `_window`, which
-    settles a window of rounds in bulk (see `play`)."""
+    """A policy that estimates each arm by the mean s_k / n_k of all its
+    rewards, fed through `_observe`, so that a pull changes only the pulled
+    arm's values.  A subclass writes `_round`, `_counted`, which stores an
+    arm's new count where `_round` reads it, and `_window`, which settles a
+    window of rounds in bulk (see `play`)."""
 
     def __init__(self, n_arms: int, init_rounds: int) -> None:
         super().__init__(n_arms, init_rounds)
@@ -565,7 +567,7 @@ class RunningMeanPolicy(Policy):
                 ) -> tuple[np.ndarray, int, int, bool]:
         """Settle a prefix of rounds t, t + 1, ..., one per reward uniform,
         where a pull of `arm` is paid `u < means[arm]`, and write the pulled
-        arms' counts and means back through `_store`.  Returns the arms of
+        arms' counts and sums back through `_store`.  Returns the arms of
         the rows kept (at least one), the rows the window held (at most one
         per uniform), the length the next window starts at if it kept fewer,
         and whether its run was short."""
@@ -622,13 +624,13 @@ class GaussianThompsonPolicy(RunningMeanPolicy):
     A window (see RunningMeanPolicy.play) takes its rows from the current
     noise block and ends at the block's end; the next block is drawn when a
     round first needs it, as `_round` draws it.  Each row pulls its first
-    argmax under the window's start state, its frozen winner.  One Python
-    loop runs the running-mean recurrence over those pulls; numpy then
-    recomputes each row as z * sqrt(c / n) + mu from the state each arm's
-    last pull before it left, bit for bit what `_round` would write there,
-    and the rows are kept up to the first whose winner changed.  A switch
-    comes from the noise the window already holds, and a pull moves the
-    pulled arm's value by about 1/n, so a frozen winner seldom changes.
+    argmax under the window's start state, its frozen winner.  A cumsum over
+    those pulls gives every arm's count n and reward sum s before each row;
+    each row is recomputed as z * sqrt(c / n) + s / n, bit for bit what
+    `_round` would write there, and the rows are kept up to the first whose
+    winner changed.  A switch comes from the noise the window already
+    holds, and a pull moves the pulled arm's value by about 1/n, so a frozen
+    winner seldom changes.
 
     A window whose frozen rows all pick one arm is judged as a leader run:
     it is short when it keeps fewer than SHORT_RUN rows and not all of them,
@@ -671,38 +673,25 @@ class GaussianThompsonPolicy(RunningMeanPolicy):
         values = z * self._scale
         values += self._mu_hat
         winners = values.argmax(axis=1)
-        paid = np.where(uniforms[:m] < means[winners], 1.0, 0.0).tolist()
-        # the pulled arm's count and mean after each row, on copies
-        counts, mus = self._counts[:], self._mu[:]
-        ns, means_after = [], []
-        for arm, reward in zip(winners.tolist(), paid):
-            n = counts[arm] + 1
-            counts[arm] = n
-            mu = mus[arm]
-            mu += (reward - mu) / n
-            mus[arm] = mu
-            ns.append(n)
-            means_after.append(mu)
-        # The states run through one array per quantity: index arm holds the
-        # arm's state at the window's start, index K + j the pulled arm's
-        # state after row j, and before[j, arm] the arm's state before row j.
-        rows = np.arange(m)
-        before = np.zeros((m + 1, k), dtype=np.intp)
-        before[0] = np.arange(k)
-        before[rows + 1, winners] = rows + k
-        np.maximum.accumulate(before, axis=0, out=before)
-        at = before[:m]
-        size = k + m
-        values = np.fromiter(self._counts + ns, np.float64, size)[at]
-        np.divide(self.c, values, out=values)
-        np.sqrt(values, out=values)
-        values *= z
-        values += np.fromiter(self._mu + means_after, np.float64, size)[at]
+        # every arm's count and reward sum before row j, in row j; row m
+        # holds them after the last row
+        rows = np.arange(1, m + 1)
+        ns = np.zeros((m + 1, k), dtype=np.intp)
+        ns[0] = self._counts
+        ns[rows, winners] = 1
+        np.cumsum(ns, axis=0, out=ns)
+        sums = np.zeros((m + 1, k))
+        sums[0] = self._sums
+        sums[rows, winners] = uniforms[:m] < means[winners]
+        np.cumsum(sums, axis=0, out=sums)
+        values = np.sqrt(self.c / ns[:m]) * z
+        values += sums[:m] / ns[:m]
         # row 0 always stands, so argmax finds the first changed row, if any
         kept = int((values.argmax(axis=1) != winners).argmax()) or m
-        for arm, state in enumerate(before[kept].tolist()):
-            if state >= k:  # pulled in a kept row
-                self._store(arm, ns[state - k], means_after[state - k])
+        pulled = np.flatnonzero(ns[kept] - ns[0])
+        for arm, n, total in zip(pulled.tolist(), ns[kept, pulled].tolist(),
+                                 sums[kept, pulled].tolist()):
+            self._store(arm, n, total)
         self._row += kept
         if (winners == winners[0]).all():
             return winners[:kept], m, LEAD_ROWS, kept < min(m, SHORT_RUN)
@@ -717,12 +706,12 @@ class Ucb1Policy(RunningMeanPolicy):
     round by `math.log`, as `_round` takes it: numpy's vectorized log does
     not always round the same way.  Row 0's first argmax is the pull, the
     leader.  A pull changes only the pulled arm's index, so the other arms'
-    indexes stay fixed while the leader keeps winning, and its own follows a
-    scalar recurrence over the rewards it is paid.  It keeps row j while its
-    index is above the best arm before it and at least the best arm after
-    it, which is numpy's first-argmax rule.  The run is short when it keeps
-    fewer than SHORT_RUN rows and not all of them, and after a cut the next
-    window starts at LEAD_ROWS rows.  A UCB1 switch comes from its own
+    indexes stay fixed while the leader keeps winning, and its own comes
+    from its count and the cumsum of the rewards it is paid.  It keeps row j
+    while its index is above the best arm before it and at least the best
+    arm after it, which is numpy's first-argmax rule.  The run is short when
+    it keeps fewer than SHORT_RUN rows and not all of them, and after a cut
+    the next window starts at LEAD_ROWS rows.  A UCB1 switch comes from its own
     state, as a pulled leader's index drops, so a row frozen before that
     pull seldom stands after it, and Thompson's pass over switching rows
     would not pay here."""
@@ -743,28 +732,24 @@ class Ucb1Policy(RunningMeanPolicy):
     def _window(self, t: int, uniforms: np.ndarray, means: np.ndarray
                 ) -> tuple[np.ndarray, int, int, bool]:
         m = len(uniforms)
-        twolog = [2.0 * math.log(s) for s in range(t, t + m)]
+        twolog = np.array([2.0 * math.log(s) for s in range(t, t + m)])
         values = np.divide.outer(twolog, self._n)
         np.sqrt(values, out=values)
         values += self._mu_hat
         leader = int(values[0].argmax())
         # the best index before and after the leader's column, per row
-        lo = values[:, :leader].max(axis=1, initial=-math.inf).tolist()
-        hi = values[:, leader + 1:].max(axis=1, initial=-math.inf).tolist()
-        paid = np.where(uniforms < means[leader], 1.0, 0.0).tolist()
-        count, mu = self._counts[leader], self._mu[leader]
-        run = 0
-        while True:
-            count += 1
-            mu += (paid[run] - mu) / count
-            run += 1
-            if run == m:
-                break
-            index = math.sqrt(twolog[run] / count) + mu
-            if not (index > lo[run] and index >= hi[run]):
-                break
-        self._store(leader, count, mu)
+        lo = values[:, :leader].max(axis=1, initial=-math.inf)
+        hi = values[:, leader + 1:].max(axis=1, initial=-math.inf)
+        # the leader's count and reward sum after each row, and its index
+        # in the next row
+        n = self._counts[leader] + np.arange(1, m + 1)
+        sums = self._sums[leader] + np.cumsum(uniforms < means[leader])
+        index = np.sqrt(twolog[1:] / n[:-1]) + sums[:-1] / n[:-1]
+        # row 0 always stands; the run ends at the first row that does not
+        run = 1 + int(np.append((index > lo[1:]) & (index >= hi[1:]), False).argmin())
+        self._store(leader, int(n[run - 1]), float(sums[run - 1]))
         return np.full(run, leader), m, LEAD_ROWS, run < min(m, SHORT_RUN)
+
 
 def make_policy(config: PolicyConfig, n_arms: int, rng: np.random.Generator) -> Policy:
     """Instantiate the policy described by `config` for an n_arms instance."""

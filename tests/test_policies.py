@@ -627,6 +627,53 @@ def test_play_blocks_interleave_with_per_round_rounds():
         assert rng.random() == twin_rng.random()
 
 
+class StateWrites:
+    """Passes `standard_normal` and `random` through to a Generator, and
+    `bit_generator.state` through a proxy that counts the writes to it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.bit_generator = self
+        self.writes = 0
+
+    def standard_normal(self, size):
+        return self._rng.standard_normal(size)
+
+    def random(self):
+        return self._rng.random()
+
+    @property
+    def state(self):
+        return self._rng.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.writes += 1
+        self._rng.bit_generator.state = value
+
+
+@pytest.mark.parametrize("n_arms", [5, 12])
+def test_play_does_not_restore_the_generator_after_a_refill_used_to_its_end(n_arms):
+    # alpha=0 at T=3000 keeps every arm live.  A block of at most
+    # BLOCK_SIZE values refills once, with exactly the values its rows use:
+    # the generator already stands where the per-round path leaves it, so
+    # play writes no state.
+    horizon, seed = 3000, 4
+    means, uniforms = _run_inputs(n_arms, horizon, seed)
+    rng, twin_rng = StateWrites(RngStream(seed).generator()), RngStream(seed).generator()
+    policy = DpTsUcbPolicy(n_arms, horizon, 0.0, rng)
+    twin = PerRound(n_arms, horizon, 0.0, twin_rng)
+    start, rows = 1, BLOCK_SIZE // n_arms
+    for stop in range(n_arms, horizon, rows):
+        block = uniforms[start - 1:stop]
+        assert np.array_equal(policy.play(start, block, means), twin.play(start, block, means))
+        assert ([policy.arm_state(a) for a in range(n_arms)]
+                == [twin.arm_state(a) for a in range(n_arms)])
+        start = stop + 1
+    assert rng.writes == 0
+    assert rng.random() == twin_rng.random()
+
+
 @pytest.mark.parametrize("n_arms, alpha", [(5, 0.0), (12, 0.5), (100, 0.0), (100, 1.0)])
 def test_play_draws_at_most_one_buffer_more_than_its_rounds_use(n_arms, alpha):
     # The rounds use one variate per live arm, the arms' fresh draws; play
@@ -704,7 +751,7 @@ def test_thompson_models_match_normal_draws_across_noise_blocks(n_arms):
     policy = GaussianThompsonPolicy(n_arms, rng, b=b, c=c)
     rewards = np.random.default_rng(3)
     n = np.zeros(n_arms)
-    mu_hat = np.zeros(n_arms)
+    sums = np.zeros(n_arms)
     init = (b + 1) * n_arms
     rows = BLOCK_SIZE // n_arms
     for t in range(1, init + 2 * rows + 3):  # into a third noise block
@@ -712,13 +759,13 @@ def test_thompson_models_match_normal_draws_across_noise_blocks(n_arms):
             arm = policy.select(t)
         else:
             arm, theta = policy.select_with_models(t)
-            expected = twin.normal(mu_hat, np.sqrt(c / n))
+            expected = twin.normal(sums / n, np.sqrt(c / n))
             assert np.array_equal(theta, expected), t
             assert arm == int(np.argmax(expected))
         reward = float(rewards.random() < 0.5)
         policy.update(arm, reward)
         n[arm] += 1
-        mu_hat[arm] += (reward - mu_hat[arm]) / n[arm]
+        sums[arm] += reward
 
 
 def test_thompson_mean_estimate_is_incremental():
@@ -768,6 +815,24 @@ def test_ucb1_breaks_ties_toward_the_lowest_arm():
     assert policy.select(4) == 0
 
 
+def test_equal_counts_and_successes_give_equal_means_in_any_reward_order():
+    # A running mean depends on the reward order: [1, 0, 1] gives
+    # 0.6666666666666666 and [1, 1, 0] 0.6666666666666667.  s / n does not,
+    # so the two UCB1 arms tie and the next round pulls the lower one.
+    orders = ((1.0, 0.0, 1.0), (1.0, 1.0, 0.0))
+    policy = Ucb1Policy(2)
+    for first, second in zip(*orders):
+        policy.update(0, first)
+        policy.update(1, second)
+    assert policy._mu_hat[0].hex() == policy._mu_hat[1].hex()
+    assert policy.select(7) == 0
+    for rewards in orders:
+        thompson = GaussianThompsonPolicy(1, RngStream(0).generator())
+        for reward in rewards:
+            thompson.update(0, reward)
+        assert thompson._mu_hat[0] == sum(rewards) / len(rewards)
+
+
 # ---------------------------------------------------------------------------
 # the baselines' play against the per-round reference
 
@@ -793,9 +858,10 @@ def _baselines(kind, n_arms, seed, b=0, c=1.0):
 
 
 def _baseline_state(policy):
-    """The counts and means, and the array `_counted` writes the count into."""
+    """The counts, sums and means, and the array `_counted` writes the count
+    into."""
     per_count = policy._scale if isinstance(policy, GaussianThompsonPolicy) else policy._n
-    return (policy._counts, [v.hex() for v in policy._mu], policy._mu_hat.tobytes(),
+    return (policy._counts, [v.hex() for v in policy._sums], policy._mu_hat.tobytes(),
             per_count.tobytes())
 
 
@@ -814,7 +880,7 @@ def _play_baseline_twins(kind, means, horizon, seed, cuts, b=0, c=1.0, pair=None
     """Rounds 1..horizon through the baseline's play and through its
     per-round twin, with the same rewards, in blocks that end after each
     round in `cuts` and at the horizon.  After every block the pulled arms,
-    the counts, means and count-derived arrays, the next round's
+    the counts, sums, means and count-derived arrays, the next round's
     select_with_models and the generators agree.  Returns the pulled arms.
     `pair` replaces the (policy, twin) that `_baselines` would build."""
     policy, twin = pair or _baselines(kind, len(means), seed, b, c)
@@ -936,8 +1002,8 @@ def test_settled_windows_keep_the_first_argmax_through_ties(monkeypatch, means):
 def test_round_robin_cut_by_blocks_matches_the_per_round_reference(kind, b, c):
     # Blocks that end inside the forced round-robin, at and around its end
     # and, for b=2000, past the first BLOCK_SIZE rounds.  After every block
-    # the cursor, counts, means, the count-derived arrays and the generator
-    # agree.
+    # the cursor, counts, sums, means, the count-derived arrays and the
+    # generator agree.
     n_arms, seed = 3, 11
     means, uniforms = _run_inputs(n_arms, 8000, seed)
     if kind == "dp":  # c is alpha
@@ -954,7 +1020,7 @@ def test_round_robin_cut_by_blocks_matches_the_per_round_reference(kind, b, c):
         for p in (policy, twin):
             assert p._init_cursor == min(stop, init)
         assert policy._counts == twin._counts
-        assert [v.hex() for v in policy._mu] == [v.hex() for v in twin._mu]
+        assert [v.hex() for v in policy._sums] == [v.hex() for v in twin._sums]
         for name in ("_mu_hat", "_scale", "_n"):
             if hasattr(policy, name):
                 assert getattr(policy, name).tobytes() == getattr(twin, name).tobytes(), name
@@ -971,7 +1037,7 @@ def test_round_robin_reads_only_the_arms_it_writes():
     arms = np.full(4, 99)
     assert policy._round_robin(np.array([0.1, 0.9]), (0.5,) * 3, arms) == 2
     assert arms.tolist() == [0, 1, 99, 99]
-    assert (policy._counts, policy._mu, policy._init_cursor) == ([1, 1, 0], [1.0, 0.0, 0.0], 2)
+    assert (policy._counts, policy._sums, policy._init_cursor) == ([1, 1, 0], [1.0, 0.0, 0.0], 2)
 
 
 @pytest.mark.parametrize("kind, b, c", BASELINES)
