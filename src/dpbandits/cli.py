@@ -23,7 +23,7 @@ from .harness import DEFAULT_EPS_GRID, PRIVACY_COLUMNS, ExperimentResult, Experi
 from .harness import _fmt, _open_writer, run_experiment, write_csv, write_privacy_csv
 from .policies import VARIANTS, DpTsUcbConfig, MTsGaussianConfig, PolicyConfig, Variant
 from .privacy import match_c, policy_gdp
-from .verify import BATTERY_CHECKS, MIN_TRIALS, McReport, default_battery
+from .verify import BATTERY_CHECKS, MAX_TRIALS, MIN_TRIALS, McReport, default_battery
 
 __all__ = ["CliConfig", "UsageError", "config_items", "main", "parse_config"]
 
@@ -87,7 +87,7 @@ _EXPERIMENT_KEYS = ("preset", "means", "T", "alpha", "policies", "b", "c", "runs
                     "out", "eps-grid", "workers")
 
 #: the settings each command reads, as flags and --config keys; privacy takes run's
-COMMAND_KEYS = {"run": _EXPERIMENT_KEYS, "verify": ("seed", "workers", "trials", "checks"),
+COMMAND_KEYS = {"run": _EXPERIMENT_KEYS, "verify": ("seed", "trials", "checks"),
                 "privacy": _EXPERIMENT_KEYS}
 
 _HELP = {
@@ -111,7 +111,7 @@ _HELP = {
 #: command -> (summary, flag help that differs from _HELP)
 _COMMANDS = {
     "run": ("run a benchmark and write CSVs", {}),
-    "verify": ("run the verification battery", {"workers": "worker threads (default: machine CPUs)"}),
+    "verify": ("run the verification battery", {}),
     "privacy": ("print the privacy table",
                 dict.fromkeys(("runs", "seed", "workers"), "accepted for run's command line; unused")),
 }
@@ -141,13 +141,15 @@ class CliConfig:
 # parsing
 
 
-def _parse_int(key: str, raw: str, minimum: int) -> int:
+def _parse_int(key: str, raw: str, minimum: int, maximum: int | None = None) -> int:
     try:
         value = int(raw)
     except ValueError:
         raise UsageError(f"{key} must be an integer, got {raw!r}") from None
     if value < minimum:
         raise UsageError(f"{key} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise UsageError(f"{key} must be <= {maximum}, got {value}")
     return value
 
 
@@ -247,7 +249,7 @@ def _resolve(command: str, items: dict[str, str]) -> CliConfig:
         out=items["out"],
         eps_grid=eps_grid,
         workers=workers,
-        trials=_parse_int("trials", items["trials"], MIN_TRIALS),
+        trials=_parse_int("trials", items["trials"], MIN_TRIALS, MAX_TRIALS),
         checks=checks,
     )
 
@@ -408,7 +410,7 @@ def _render_reports(reports: list[McReport]) -> tuple[str, int]:
 
 
 def _cmd_verify(cfg: CliConfig) -> int:
-    reports = default_battery(cfg.trials, cfg.seed, cfg.checks, cfg.workers)
+    reports = default_battery(cfg.trials, cfg.seed, cfg.checks)
     text, code = _render_reports(reports)
     print(text)
     return code

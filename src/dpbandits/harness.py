@@ -193,12 +193,11 @@ def _aggregate(spec: ExperimentSpec, runs: list[RunResult]) -> tuple[AggregateRe
     return tuple(out)
 
 
-def pool_map(fn, tasks: list, workers: int | None, executor: str) -> list:
-    """[fn(task) for task in tasks] on a pool of `workers` (None: machine CPUs;
-    must be >= 1), capped at len(tasks), as pools start every worker they are
-    given; one worker runs inline.  `executor` names the concurrent.futures
-    class, looked up only when a pool starts, so an inline call never imports
-    its module.  Results come back in task order."""
+def pool_map(fn, tasks: list, workers: int | None) -> list:
+    """[fn(task) for task in tasks] on a process pool of `workers` (None:
+    machine CPUs; must be >= 1), capped at len(tasks), as pools start every
+    worker they are given; one worker runs inline, without importing the
+    pool's module.  Results come back in task order."""
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
@@ -206,8 +205,8 @@ def pool_map(fn, tasks: list, workers: int | None, executor: str) -> list:
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
-    chunk = max(1, len(tasks) // (4 * workers))  # thread pools ignore it
-    with getattr(concurrent.futures, executor)(max_workers=workers) as pool:
+    chunk = max(1, len(tasks) // (4 * workers))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
@@ -219,7 +218,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> Experime
         for position in range(len(spec.policies))
         for run in range(spec.n_runs)
     ]
-    runs = pool_map(_run_task, tasks, workers, "ProcessPoolExecutor")
+    runs = pool_map(_run_task, tasks, workers)
     return ExperimentResult(spec=spec, runs=tuple(runs), aggregates=_aggregate(spec, runs))
 
 

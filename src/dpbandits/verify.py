@@ -6,25 +6,24 @@ a logarithm inequality, and a Hoeffding sanity check.
 Every verifier is deterministic given its stream and returns an McReport; a
 check passes when its estimate falls on the required side of the bound with a
 3 standard-error Monte-Carlo allowance (exact checks carry zero std error).
-The Monte-Carlo checks draw their trials in chunks of CHUNK, which returns
-the same numbers as one full-size draw and bounds each check's memory.
+Each Monte-Carlo estimate depends on a trial only through its Binomial
+outcome k, so a check draws how many trials gave each k in one multinomial
+draw, at a cost set by the number of outcomes rather than of trials.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .env import Purpose, RngStream
-from .harness import pool_map
 from .policies import phi_budget
 from .privacy import _check_alpha, _check_horizon, std_normal_cdf, std_normal_logcdf
 
 __all__ = [
-    "CHUNK",
+    "MAX_TRIALS",
     "MIN_TRIALS",
     "McReport",
     "check_gaussian_tail_facts",
@@ -37,10 +36,8 @@ __all__ = [
 ]
 
 MIN_TRIALS = 10**4
-
-#: trials drawn per numpy call; larger than env.BLOCK_SIZE, because 4,096-value
-#: chunks cost 7-9% more CPU on the 1e6-trial battery (2-vCPU VM)
-CHUNK = 1 << 16
+#: numpy draws counts as int64
+MAX_TRIALS = int(np.iinfo(np.int64).max)
 
 _TRIAL_STREAM = RngStream(0, (Purpose.TRIAL,))
 
@@ -72,8 +69,8 @@ def _report(name: str, estimate: float, trials: int, se: float, bound: float,
 
 
 def _check_trials(trials: int) -> int:
-    if trials < MIN_TRIALS:
-        raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
+    if not MIN_TRIALS <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [{MIN_TRIALS}, {MAX_TRIALS}], got {trials}")
     return int(trials)
 
 
@@ -84,32 +81,38 @@ def _check_gap(horizon: int, gap: float) -> None:
         raise ValueError(f"need T * gap^2 > e, got {horizon * gap * gap}")
 
 
-def _chunk_sizes(trials: int) -> list[int]:
-    return [min(CHUNK, trials - start) for start in range(0, trials, CHUNK)]
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) probabilities of 0..n, built outward from the mode by
+    the ratio of neighbouring terms, so nothing overflows; terms below the
+    float range come out as 0."""
+    mode = min(int((n + 1) * p), n)
+    odds = p / (1.0 - p)
+    k = np.arange(n + 1, dtype=float)
+    up = (n - k[mode:n]) / (k[mode:n] + 1.0) * odds  # pmf[k+1] / pmf[k]
+    down = k[1:mode + 1] / (n - k[1:mode + 1] + 1.0) / odds  # pmf[k-1] / pmf[k]
+    pmf = np.concatenate((np.cumprod(down[::-1])[::-1], [1.0], np.cumprod(up)))
+    return pmf / pmf.sum()
 
 
 def _outcome_counts(rng: np.random.Generator, n: int, p: float, trials: int) -> np.ndarray:
-    """How many of `trials` Binomial(n, p) draws gave each outcome 0..n."""
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for size in _chunk_sizes(trials):
-        counts += np.bincount(rng.binomial(n, p, size=size), minlength=n + 1)
-    return counts
+    """How many of `trials` Binomial(n, p) draws gave each outcome 0..n: one
+    multinomial draw, which has exactly the law of counting the draws."""
+    return rng.multinomial(trials, _binomial_pmf(n, p))
 
 
 def mc_max_boost(alpha: float, horizon: int, s: int, mu: float, trials: int,
                  stream: RngStream = _TRIAL_STREAM) -> McReport:
     """Failure frequency of {max of phi fresh Gaussian models < mu}.
 
-    Each trial draws mu_hat = k/s, k ~ Binomial(s, mu), and one uniform U on
-    (0, 1], and stands for the maximum of phi_budget(alpha, T) models from
-    Normal(mu_hat, ln(T)^alpha / s): in law that max is
-    mu_hat + sigma * Phi^{-1}(U^{1/phi}), which is increasing in U.  So the
-    trial fails, max < mu, exactly when U < Phi((mu - k/s) / sigma)^phi.
-    That threshold is computed once per outcome k in {0..s}, in log space
-    (phi reaches ~2e5 on the default grid), and each trial is decided by
-    looking up its k.  Every k is drawn before any U, as the stream order
-    requires; the k are kept in the smallest integer type that holds s.
-    Bound: 3/T.
+    Each trial draws mu_hat = k/s, k ~ Binomial(s, mu), and stands for the
+    maximum of phi_budget(alpha, T) models from Normal(mu_hat, ln(T)^alpha / s):
+    in law that max is mu_hat + sigma * Phi^{-1}(U^{1/phi}) for a uniform U,
+    which is increasing in U.  So given k the trial fails, max < mu, with
+    probability exactly Phi((mu - k/s) / sigma)^phi, computed once per
+    outcome k in {0..s} in log space (phi reaches ~2e5 on the default grid).
+    The check draws how many trials gave each k, then how many of those
+    failed, one Binomial(count, probability) per k: the failure count has
+    the law of deciding every trial.  Bound: 3/T.
     """
     alpha = _check_alpha(alpha)
     horizon = _check_horizon(horizon)
@@ -121,13 +124,9 @@ def mc_max_boost(alpha: float, horizon: int, s: int, mu: float, trials: int,
     rng = stream.generator()
     phi = phi_budget(alpha, horizon)
     sigma = math.sqrt(math.log(horizon) ** alpha / s)
-    sizes = _chunk_sizes(trials)
-    outcome = np.min_scalar_type(s)
-    ks = [rng.binomial(int(s), mu, size=size).astype(outcome) for size in sizes]
+    counts = _outcome_counts(rng, int(s), mu, trials)
     below = np.exp(phi * std_normal_logcdf((mu - np.arange(s + 1) / s) / sigma))
-    failures = sum(
-        int(np.count_nonzero(1.0 - rng.random(size) < below[k])) for size, k in zip(sizes, ks)
-    )
+    failures = int(rng.binomial(counts, below).sum())
     estimate = failures / trials
     se = math.sqrt(estimate * (1.0 - estimate) / trials)
     name = f"boost(alpha={alpha:g},T={horizon},s={s})"
@@ -243,46 +242,33 @@ def mc_hoeffding(n: int, a: float, mu: float, trials: int,
     return _report(f"hoeffding(n={n},a={a:g})", estimate, trials, se, bound)
 
 
-def default_battery(trials: int = 10**5, seed: int = 0, checks=BATTERY_CHECKS,
-                    workers: int | None = None) -> list[McReport]:
+def default_battery(trials: int = 10**5, seed: int = 0, checks=BATTERY_CHECKS) -> list[McReport]:
     """The standard verification battery, one deterministic substream per
-    Monte-Carlo check.  `checks` selects a subset by name; the closed-form
-    checks consume no randomness and run in the calling thread.  The
-    Monte-Carlo checks run on `workers` threads (default: machine CPUs);
-    numpy draws with the GIL released, and reports come back in listing
-    order, so they are identical for every worker count.
-    """
+    Monte-Carlo check, in listing order.  `checks` selects a subset by name;
+    the closed-form checks consume no randomness."""
     checks = tuple(checks)
     unknown = [c for c in checks if c not in BATTERY_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; valid: {list(BATTERY_CHECKS)}")
     root = RngStream(seed, (Purpose.TRIAL,))
-    tasks = []  # a closed-form McReport, or a Monte-Carlo check that returns one
+    reports = []
     if "boost" in checks:
         grid = itertools.product((0.0, 1.0), (10**3, 10**4), (1, 4, 16))
         for i, (alpha, horizon, s) in enumerate(grid):
-            tasks.append(
-                partial(mc_max_boost, alpha, horizon, s, 0.95, trials, stream=root.child(0, i))
-            )
+            reports.append(mc_max_boost(alpha, horizon, s, 0.95, trials, stream=root.child(0, i)))
     if "inverse-prob" in checks:
         for i, s in enumerate((1, 2, 8)):
-            tasks.append(
-                partial(mc_inverse_prob, 0.0, 100, s, 0.95, 0.4, trials, shifted=False,
-                        stream=root.child(1, i))
-            )
+            reports.append(mc_inverse_prob(0.0, 100, s, 0.95, 0.4, trials, shifted=False,
+                                           stream=root.child(1, i)))
         s_star = inverse_prob_threshold(0.0, 10**4, 0.4)
-        tasks.append(
-            partial(mc_inverse_prob, 0.0, 10**4, s_star, 0.95, 0.4, trials, shifted=True,
-                    stream=root.child(1, 3))
-        )
+        reports.append(mc_inverse_prob(0.0, 10**4, s_star, 0.95, 0.4, trials, shifted=True,
+                                       stream=root.child(1, 3)))
     if "gaussian-facts" in checks:
-        tasks.extend(check_gaussian_tail_facts())
+        reports.extend(check_gaussian_tail_facts())
     if "log-inequality" in checks:
-        tasks.append(_report("log-inequality", log_inequality_margin(), 0, 0.0, 0.0, "le"))
+        reports.append(_report("log-inequality", log_inequality_margin(), 0, 0.0, 0.0, "le"))
     if "hoeffding" in checks:
         grid = ((10, 0.1), (10, 0.3), (100, 0.1), (100, 0.2))
         for i, (n, a) in enumerate(grid):
-            tasks.append(partial(mc_hoeffding, n, a, 0.5, trials, stream=root.child(2, i)))
-    done = iter(pool_map(lambda t: t(), list(filter(callable, tasks)), workers,
-                         "ThreadPoolExecutor"))
-    return [next(done) if callable(t) else t for t in tasks]
+            reports.append(mc_hoeffding(n, a, 0.5, trials, stream=root.child(2, i)))
+    return reports

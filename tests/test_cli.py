@@ -105,6 +105,7 @@ def test_out_of_range_alpha_is_a_usage_error():
         ["run", "--means", ""],
         ["run", "--means", "0.5,abc"],
         ["run", "--seed", "-1"],
+        ["verify", "--trials", "9223372036854775808"],  # beyond int64
     ],
 )
 def test_bad_values_raise_usage_errors(flags):
@@ -115,13 +116,15 @@ def test_bad_values_raise_usage_errors(flags):
 #: a valid value for every flag some command does not take
 _VALUES = {"--trials": "20000", "--checks": "boost", "--preset": "paper-fig3",
            "--means": "0.9,0.1", "--T": "1000", "--alpha": "1", "--policies": "ucb1",
-           "--b": "1", "--c": "2", "--runs": "1", "--out": "elsewhere", "--eps-grid": "1"}
+           "--b": "1", "--c": "2", "--runs": "1", "--out": "elsewhere", "--eps-grid": "1",
+           "--workers": "2"}
 
 #: the (command, flag) pairs outside each command's settings
 _FOREIGN_FLAGS = [
     *((command, flag) for command in ("run", "privacy") for flag in ("--trials", "--checks")),
     *(("verify", flag) for flag in ("--preset", "--means", "--T", "--alpha", "--policies",
-                                    "--b", "--c", "--runs", "--out", "--eps-grid")),
+                                    "--b", "--c", "--runs", "--out", "--eps-grid",
+                                    "--workers")),
 ]
 
 
@@ -129,8 +132,8 @@ def test_each_command_takes_only_the_settings_it_reads():
     experiment = ("preset", "means", "T", "alpha", "policies", "b", "c", "runs", "seed",
                   "out", "eps-grid", "workers")
     assert COMMAND_KEYS == {"run": experiment, "privacy": experiment,
-                            "verify": ("seed", "workers", "trials", "checks")}
-    assert len(_FOREIGN_FLAGS) == 14
+                            "verify": ("seed", "trials", "checks")}
+    assert len(_FOREIGN_FLAGS) == 15
 
 
 @pytest.mark.parametrize("command,flag", _FOREIGN_FLAGS)
@@ -160,7 +163,7 @@ def test_an_abbreviated_flag_exits_two_and_writes_nothing(argv, tmp_path, monkey
 @pytest.mark.parametrize(
     "command,line",
     [("run", "trials = 20000"), ("privacy", "checks = boost"), ("verify", "T = 1000"),
-     ("verify", "preset = paper-fig3"), ("verify", "out = elsewhere")],
+     ("verify", "preset = paper-fig3"), ("verify", "out = elsewhere"), ("verify", "workers = 2")],
 )
 def test_a_config_key_the_command_does_not_read_exits_two(
         command, line, tmp_path, monkeypatch, capsys):
@@ -227,7 +230,7 @@ def test_config_items_roundtrip_is_exact(tmp_path):
     "argv",
     [
         ["run", "--preset", "paper-fig4", "--runs", "3", "--workers", "2", "--out", "r"],
-        ["verify", "--trials", "20000", "--checks", "hoeffding", "--workers", "2"],
+        ["verify", "--trials", "20000", "--checks", "hoeffding"],
         ["privacy", "--preset", "paper-fig5", "--seed", "4", "--eps-grid", "0.25"],
     ],
 )
@@ -339,19 +342,11 @@ def test_verify_closed_form_checks_ignore_the_seed(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_verify_stdout_is_the_same_for_every_worker_count(capsys):
-    golden = (Path(__file__).parent / "golden" / "verify" / "stdout.txt").read_bytes()
-    for workers in ("1", "3"):
-        assert main(["verify", "--trials", "10000", "--workers", workers]) == 0
-        assert capsys.readouterr().out.encode() == golden
-
-
-def test_verify_runs_the_battery_on_the_workers_flag(monkeypatch, capsys):
+def test_verify_takes_trials_up_to_int64(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr("dpbandits.cli.default_battery", lambda *a: calls.append(a) or [])
-    assert main(["verify", "--workers", "3"]) == 0
-    main(["verify"])
-    assert [a[3] for a in calls] == [3, None]
+    assert main(["verify", "--trials", "9223372036854775807", "--checks", "boost"]) == 0
+    assert calls == [(2**63 - 1, 0, ("boost",))]
 
 
 def test_verify_failure_exits_one(monkeypatch, capsys):
@@ -406,6 +401,8 @@ def test_usage_errors_exit_two(capsys):
     assert main(["run", "--alpha", "1.5"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["verify", "--trials", "100"]) == 2
+    assert main(["verify", "--trials", "9223372036854775808"]) == 2
+    assert "trials must be <= 9223372036854775807" in capsys.readouterr().err
     assert main(["run", "--preset", "bogus"]) == 2
     assert main(["run", "--policies", "m-ts-gaussian", "--b", "paper",
                  "--alpha", "0.5"]) == 2
@@ -488,8 +485,7 @@ def test_an_unusable_out_exits_three_before_any_work(command, tmp_path, monkeypa
     [
         (["run", "--T", "100", "--runs", "2", "--workers", "1"], "process", False),
         (["run", "--T", "100", "--runs", "2", "--workers", "2"], "process", True),
-        (["verify", "--trials", "10000", "--checks", "hoeffding", "--workers", "1"], "thread", False),
-        (["verify", "--trials", "10000", "--checks", "hoeffding", "--workers", "2"], "thread", True),
+        (["verify", "--trials", "10000"], "thread", False),
     ],
 )
 def test_only_a_started_pool_imports_its_executor_module(argv, module, loaded, tmp_path):

@@ -297,27 +297,31 @@ def test_the_process_pool_is_never_larger_than_the_task_list(monkeypatch):
 def test_pool_map_sizes_a_default_pool_by_the_cpus_and_the_tasks(monkeypatch):
     sizes = []
 
-    class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
+    class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-    assert pool_map(abs, [-5, -1, -4, -2], None, "ThreadPoolExecutor") == [5, 1, 4, 2]
-    assert pool_map(abs, [-5, -1], None, "ThreadPoolExecutor") == [5, 1]
+    assert pool_map(abs, [-5, -1, -4, -2], None) == [5, 1, 4, 2]
+    assert pool_map(abs, [-5, -1], None) == [5, 1]
     assert sizes == [3, 2]
 
 
-def test_pool_map_runs_one_worker_or_one_task_inline_without_looking_up_the_pool():
-    # an unknown class name fails only where a pool would start
-    assert pool_map(str, [1, 2], 1, "NoSuchExecutor") == ["1", "2"]
-    assert pool_map(str, [7], 4, "NoSuchExecutor") == ["7"]
-    assert pool_map(str, [], None, "NoSuchExecutor") == []
-    with pytest.raises(AttributeError):
-        pool_map(str, [1, 2], 2, "NoSuchExecutor")
+def test_pool_map_runs_one_worker_or_one_task_inline_without_looking_up_the_pool(monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError("a pool started")
+
+    # the pool class is looked up only where a pool would start
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert pool_map(str, [1, 2], 1) == ["1", "2"]
+    assert pool_map(str, [7], 4) == ["7"]
+    assert pool_map(str, [], None) == []
+    with pytest.raises(AssertionError, match="a pool started"):
+        pool_map(str, [1, 2], 2)
     with pytest.raises(ValueError, match="workers must be >= 1"):
-        pool_map(str, [1, 2], 0, "ThreadPoolExecutor")
+        pool_map(str, [1, 2], 0)
 
 
 def test_policies_behave_sanely_on_the_benchmark_instance():

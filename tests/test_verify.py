@@ -1,5 +1,5 @@
-import concurrent.futures
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from dpbandits.env import Purpose, RngStream
 from dpbandits.policies import phi_budget
 from dpbandits.privacy import std_normal_cdf, std_normal_quantile
 from dpbandits.verify import (
-    CHUNK,
+    MAX_TRIALS,
     MIN_TRIALS,
     McReport,
     check_gaussian_tail_facts,
@@ -26,8 +26,22 @@ def _trials(seed: int) -> RngStream:
     return RngStream(seed, (Purpose.TRIAL,))
 
 
+def _twin_counts(rng: np.random.Generator, n: int, p: float, trials: int) -> np.ndarray:
+    # the checks' draw order: one multinomial over the outcomes 0..n
+    return rng.multinomial(trials, verify._binomial_pmf(n, p))
+
+
 def test_min_trials_constant():
     assert MIN_TRIALS == 10**4
+
+
+def test_trials_beyond_int64_are_rejected():
+    assert MAX_TRIALS == np.iinfo(np.int64).max
+    assert mc_hoeffding(10, 0.3, 0.5, MAX_TRIALS, stream=_trials(0)).trials == MAX_TRIALS
+    with pytest.raises(ValueError, match="trials must lie in"):
+        mc_hoeffding(10, 0.3, 0.5, MAX_TRIALS + 1)
+    with pytest.raises(ValueError, match="trials must lie in"):
+        default_battery(MAX_TRIALS + 1, checks=("boost",))
 
 
 def test_reports_grant_a_three_sigma_allowance():
@@ -90,19 +104,26 @@ def test_mc_max_boost_frequency_matches_the_exact_failure_probability(alpha, s):
 
 
 def test_mc_max_boost_decides_every_trial_as_the_drawn_maximum_would():
-    # twin stream: draw each trial's max through the closed-form transform
-    # max = k/s - sigma * Phi^{-1}(1 - U^{1/phi}) and count max < mu
     alpha, horizon, s, mu, trials = 1.0, 21, 4, 0.95, 200_000
     phi = phi_budget(alpha, horizon)
     sigma = math.sqrt(math.log(horizon) ** alpha / s)
-    rng = _trials(5).generator()
-    k = rng.binomial(s, mu, size=trials)
-    u = 1.0 - rng.random(trials)
-    top = k / s - sigma * std_normal_quantile(-np.expm1(np.log(u) / phi))
-    failures = int(np.count_nonzero(top < mu))
     report = mc_max_boost(alpha, horizon, s, mu, trials, stream=_trials(5))
+    # twin stream: the outcome counts, then the failures among each count
+    rng = _trials(5).generator()
+    counts = _twin_counts(rng, s, mu, trials)
+    below = np.array([std_normal_cdf((mu - k / s) / sigma) ** phi for k in range(s + 1)])
+    failures = int(rng.binomial(counts, below).sum())
     assert failures > 0
     assert failures / trials == report.estimate
+    # each trial's max through the closed-form transform
+    # max = k/s - sigma * Phi^{-1}(1 - U^{1/phi}), on its own stream
+    rng = _trials(6).generator()
+    k = np.repeat(np.arange(s + 1), _twin_counts(rng, s, mu, trials))
+    u = 1.0 - rng.random(trials)
+    top = k / s - sigma * std_normal_quantile(-np.expm1(np.log(u) / phi))
+    drawn = np.count_nonzero(top < mu) / trials
+    se = math.sqrt(drawn * (1.0 - drawn) / trials)
+    assert abs(report.estimate - drawn) < 5.0 * math.hypot(se, report.mc_std_err)
 
 
 def test_inverse_prob_threshold_value_and_validation():
@@ -158,8 +179,8 @@ def test_mc_inverse_prob_matches_the_exact_two_point_expectation():
 )
 def test_mc_inverse_prob_weighted_moments_match_the_per_trial_moments(horizon, s, shifted):
     mu1, gap, trials = 0.95, 0.4, 10**5
-    rng = _trials(6).generator()
-    mu_hat = rng.binomial(s, mu1, size=trials) / s
+    counts = _twin_counts(_trials(6).generator(), s, mu1, trials)
+    mu_hat = np.repeat(np.arange(s + 1), counts) / s
     target = mu1 - 0.5 * gap if shifted else mu1
     values = 1.0 / std_normal_cdf((mu_hat - target) / math.sqrt(1.0 / s)) - 1.0
     report = mc_inverse_prob(0.0, horizon, s, mu1, gap, trials, shifted=shifted,
@@ -253,25 +274,55 @@ def test_mc_hoeffding_validation_and_fields():
     assert report == mc_hoeffding(100, 0.2, 0.5, MIN_TRIALS, stream=_trials(4))
 
 
-def test_chunked_outcome_counts_equal_a_one_shot_draw():
-    # trials is not a multiple of CHUNK, so the last chunk is a short one
-    trials = 2 * CHUNK + 123
-    rng = _trials(9).generator()
-    counts = np.bincount(rng.binomial(10, 0.5, size=trials), minlength=11)
+def test_outcome_counts_equal_a_one_shot_multinomial_draw():
+    trials = 10**6 + 123
+    counts = _twin_counts(_trials(9).generator(), 10, 0.5, trials)
+    assert counts.sum() == trials
     # n = 10, a = 0.25, mu = 0.5: the event is k <= 2 or k >= 8
     hits = int(counts[:3].sum() + counts[8:].sum())
     report = mc_hoeffding(10, 0.25, 0.5, trials, stream=_trials(9))
     assert report.estimate == hits / trials
 
     s, mu1, target = 8, 0.95, 0.95
-    rng = _trials(9).generator()
-    counts = np.bincount(rng.binomial(s, mu1, size=trials), minlength=s + 1)
+    counts = _twin_counts(_trials(9).generator(), s, mu1, trials)
     seen = np.flatnonzero(counts)
     values = 1.0 / std_normal_cdf((seen / s - target) / math.sqrt(1.0 / s)) - 1.0
     estimate = float(counts[seen] @ values) / trials
     se = math.sqrt(float(counts[seen] @ (values - estimate) ** 2) / (trials - 1) / trials)
     report = mc_inverse_prob(0.0, 100, s, mu1, 0.4, trials, shifted=False, stream=_trials(9))
     assert (report.estimate, report.mc_std_err) == (estimate, se)
+
+
+def _exact_pmf(n: int, p: float) -> np.ndarray:
+    # p = a / d exactly, and int / int rounds correctly, so each term is the
+    # float nearest comb(n, k) p^k (1-p)^(n-k); comb(1076, 538) overflows a float
+    a, d = p.as_integer_ratio()
+    return np.array([math.comb(n, k) * a**k * (d - a) ** (n - k) / d**n for k in range(n + 1)])
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 100, 1076])
+@pytest.mark.parametrize("p", [0.95, 0.5])
+def test_binomial_pmf_matches_math_comb(n, p):
+    exact = _exact_pmf(n, p)
+    pmf = verify._binomial_pmf(n, p)
+    normal = exact >= np.finfo(float).tiny
+    assert np.all(np.abs(pmf[normal] - exact[normal]) <= 1e-12 * exact[normal])
+    assert np.all(pmf[~normal] < np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("n, p", [(16, 0.95), (100, 0.5), (1076, 0.95)])
+def test_outcome_counts_over_many_substreams_match_the_binomial_law(n, p):
+    trials, streams = 10**6, 200
+    root = _trials(21)
+    total = sum(verify._outcome_counts(root.child(i).generator(), n, p, trials)
+                for i in range(streams))
+    draws = streams * trials
+    pmf = _exact_pmf(n, p)
+    # each count is Binomial(draws, pmf[k]); the + 1 lets an outcome that
+    # expects far less than one draw come up once
+    sd = np.sqrt(draws * pmf * (1.0 - pmf))
+    assert np.all(np.abs(total - draws * pmf) <= 5.0 * sd + 1.0)
+    assert total.sum() == draws
 
 
 def test_mc_hoeffding_matches_the_exact_binomial_tail():
@@ -323,44 +374,29 @@ def test_default_battery_shifted_inverse_check_sits_at_the_threshold():
     assert f"s={inverse_prob_threshold(0.0, 10**4, 0.4)}" in report.name
 
 
-def test_default_battery_reports_do_not_depend_on_the_worker_count():
-    # 4 threads can outnumber the CPUs; 3 * CHUNK + 5 trials cross chunk ends
-    trials = 3 * CHUNK + 5
-    reports = [default_battery(trials, seed=3, workers=w) for w in (1, 2, 4)]
-    assert reports[0] == reports[1] == reports[2]
-    assert len(reports[0]) == 33
+def test_default_battery_passes_at_a_trillion_trials():
+    reports = default_battery(10**12, seed=0)
+    assert len(reports) == 33 and all(r.passed for r in reports)
+    # every Monte-Carlo report ran all its trials; the closed-form ones draw none
+    closed_form = check_gaussian_tail_facts() + [reports[28]]
+    assert reports[16:29] == closed_form and reports[28].name == "log-inequality"
+    assert [r.trials for r in reports[:16] + reports[29:]] == [10**12] * 20
 
 
-def test_default_battery_rejects_a_zero_worker_count():
-    with pytest.raises(ValueError):
-        default_battery(MIN_TRIALS, workers=0)
+@pytest.fixture
+def no_thread(monkeypatch):
+    def start(self):
+        raise AssertionError("the battery started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
 
 
-def test_a_battery_without_monte_carlo_checks_starts_no_thread(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("the closed-form checks started a thread pool")
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    reports = default_battery(MIN_TRIALS, checks=("gaussian-facts", "log-inequality"), workers=4)
+def test_a_battery_without_monte_carlo_checks_starts_no_thread(no_thread):
+    reports = default_battery(MIN_TRIALS, checks=("gaussian-facts", "log-inequality"))
     assert reports == check_gaussian_tail_facts() + [reports[-1]]
     assert reports[-1].name == "log-inequality" and len(reports) == 13
-    with pytest.raises(AssertionError, match="thread pool"):
-        default_battery(MIN_TRIALS, checks=("hoeffding",), workers=2)
 
 
-def test_the_thread_pool_is_never_larger_than_the_monte_carlo_task_list(monkeypatch):
-    sizes = []
-
-    class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
-    # four inverse-prob tasks; the 13 closed-form reports take no thread
-    checks = ("inverse-prob", "gaussian-facts", "log-inequality")
-    pooled = default_battery(MIN_TRIALS, checks=checks, workers=8)
-    assert sizes == [4]
-    assert pooled == default_battery(MIN_TRIALS, checks=checks, workers=1)
-    assert sizes == [4]
-    assert [r.trials > 0 for r in pooled] == [True] * 4 + [False] * 13
+def test_default_battery_starts_no_thread(no_thread):
+    reports = default_battery(MIN_TRIALS, seed=3)
+    assert len(reports) == 33 and all(r.passed for r in reports)
