@@ -203,19 +203,20 @@ class Policy:
     The first `init_rounds` selections pull the arms round-robin; `update`
     counts them off on `_init_cursor`.  Every later round, `_round(t)` writes
     one value per arm into `_theta` (a fresh or reused model, or an index) and
-    returns the arm to pull.  A subclass writes `_round` and `update`; one
-    that estimates each arm by the mean of all its rewards feeds them through
-    `_observe` (see RunningMeanPolicy).  That mean is always s / n from the
-    arm's count n and reward sum s.  Sums of 0/1 rewards are exact, so the
-    mean does not depend on the order the rewards came in, and bulk code may
-    take every row's state from `np.cumsum`.
+    returns the arm to pull.  A subclass writes `_round` and `update`.  An
+    arm's mean estimate is always s / n from its count n and reward sum s, as
+    `_store` writes them back (RunningMeanPolicy.update writes the same
+    inline).  Sums of 0/1 rewards are exact, so the mean does not depend on
+    the order the rewards came in, and bulk code may take every row's state
+    from `np.cumsum`.
 
     The harness plays a block of rounds at a time through `play`.  Here it is
-    the select/update loop; a subclass may override it to settle several
+    the select/update loop, which calls `_round` directly once the
+    initialization is over; a subclass may override it to settle several
     rounds at once, provided it pulls the same arms and leaves its state and
     its generator exactly where that loop would.  Both overrides settle the
     initialization rounds through `_round_robin`; after them DpTsUcbPolicy
-    settles the rounds between two epoch events at once, and
+    settles the rounds between two changes of its live set at once, and
     RunningMeanPolicy windows of rounds whose winners stand."""
 
     def __init__(self, n_arms: int, init_rounds: int) -> None:
@@ -246,8 +247,8 @@ class Policy:
         This select/update loop is the per-round reference.  The overrides
         settle most rounds in bulk; RunningMeanPolicy still plays the rounds
         after a short run through this loop."""
-        select, update = self.select, self.update
-        arms = []
+        select = self.select if self._init_cursor < self._init_rounds else self._round
+        update, arms = self.update, []
         for t, u in enumerate(uniforms.tolist(), start=t0):
             arm = select(t)
             update(arm, 1.0 if u < means[arm] else 0.0)
@@ -291,20 +292,6 @@ class Policy:
     def _counted(self, arm: int, n: int) -> None:
         """Store an arm's new count where `_round` reads it (nothing here)."""
 
-    def _observe(self, arm: int, reward: float) -> int:
-        """Count one reward off the initialization rounds, if any are left,
-        and add it to the arm's count and reward sum, with `_mu_hat` set to
-        s / n as `_store` sets it; returns the new count.  It writes inline,
-        since most baseline rounds at many arms come through here."""
-        if self._init_cursor < self._init_rounds:
-            self._init_cursor += 1
-        n = self._counts[arm] + 1
-        s = self._sums[arm] + reward
-        self._counts[arm] = n
-        self._sums[arm] = s
-        self._mu_hat[arm] = s / n
-        return n
-
 
 @dataclass(frozen=True)
 class ArmState:
@@ -336,31 +323,36 @@ class DpTsUcbPolicy(Policy):
     this epoch.  The arm with the largest model is pulled.  Rewards accumulate
     in a pending buffer; once an arm's epoch has 2^r of them, the mean
     estimate is replaced by the buffer mean, the budget refills and the epoch
-    max resets.  Every arm with budget left spends one fresh draw each round,
-    whether or not it ends up pulled.
+    max resets (`_close`).  Every arm with budget left spends one fresh draw
+    each round, whether or not it ends up pulled.
 
     Every round draws one variate per live arm (an arm with budget left) from
     one `rng.normal(loc, scale)` call on arrays, in arm order; a round
-    without a live arm leaves `rng` untouched.  Budgets are not
-    counted down round by round: an arm's budget is `expiry - rounds`, so the
-    live set and the draw arguments are rebuilt only when an epoch closes or
-    a budget runs out.
+    without a live arm leaves `rng` untouched.  Budgets are not counted down
+    round by round: an arm's budget is `expiry - rounds`, so the live set,
+    its draw arguments and the best reused max are cached, and rebuilt only
+    when the live set changes: a budget runs out, or a spent arm closes its
+    epoch and comes back live.  The epoch size 2^r, the unprocessed count,
+    the pending sum and the expiry are arrays over the arms.
 
-    `select`, `_round` and `update` are the per-round reference.  After the
-    initialization rounds, `play` settles the stretches between two such
-    events in bulk, whatever the size of the live set.  The per-round
-    `rng.normal(loc, scale)` reads the next `live` values of one flat stream
-    of standard normals, whatever the row width, and `z * scale + loc` is
-    bit for bit its result.  So `play` carries that stream in a buffer: a
-    chunk is as many whole rows as the buffer holds, and no more than are
-    left before a budget runs out, and each row's first argmax over the live
-    models and the best reused epoch max is the pull.  With no live arm
-    nothing is drawn and every round pulls that max.  If an epoch closes
-    inside the chunk, the chunk is cut after that round, whose reward goes
-    through `update`, and the rows after it stay in the buffer for the next
-    chunk.  A buffer holding less than one row is refilled behind that
-    leftover with the values the block's remaining rounds would use at the
-    current width, at most `BLOCK_SIZE` and at least a row, and the
+    `select`, `_round` and `update` are the per-round reference; `update`
+    rebuilds the cache after every close.  After the initialization rounds,
+    `play` settles the stretches between two changes of the live set in
+    bulk, whatever its size.  The per-round `rng.normal(loc, scale)` reads
+    the next `live` values of one flat stream of standard normals, whatever
+    the row width, and `z * scale + loc` is bit for bit its result.  So
+    `play` carries that stream in a buffer: a chunk is as many whole rows as
+    the buffer holds, and no more than are left before a budget runs out,
+    and each row's first argmax over the live models and the best reused
+    epoch max is the pull.  With no live arm nothing is drawn and every round
+    pulls that max.  Each chunk adds its pulls and rewards to the unprocessed
+    counts and pending sums.  If an epoch closes inside the chunk, the chunk
+    is cut after that round, and the rows after it stay in the buffer for the
+    next chunk.  A live arm's close writes its new mean, scale and reset max
+    into the cached arrays in place, and the stretch goes on; a spent arm's
+    close ends it.  A buffer holding less than one row is refilled behind
+    that leftover with the values the block's remaining rounds would use at
+    the current width, at most `BLOCK_SIZE` and at least a row, and the
     generator's state is saved first.  When `play` returns with part of the
     last refill unused, it restores the state and draws the used part again,
     so `rng` stands where the per-round path leaves it.
@@ -384,11 +376,11 @@ class DpTsUcbPolicy(Policy):
         # ln(T)^alpha is fixed for the whole run; evaluate it once.
         self._ln_pow = math.log(float(horizon)) ** self.alpha
         k = self.n_arms
-        self._epoch = [1] * k  # an arm in epoch r has n = 2^(r-1) observations
-        self._unprocessed = [0] * k
-        self._pending = [0.0] * k
+        self._size = np.full(k, 2, dtype=np.int64)  # 2^r in epoch r, whose mean has n = 2^(r-1)
+        self._unprocessed = np.zeros(k, dtype=np.int64)
+        self._pending = np.zeros(k, dtype=np.float64)
         self._rounds = 0  # post-initialization rounds selected so far
-        self._expiry = [self.phi] * k  # the round count at which the budget is spent
+        self._expiry = np.full(k, self.phi, dtype=np.int64)  # the round count at which the budget is spent
         self._closed_draws = [0] * k  # fresh draws of the arm's closed epochs
         self._scale = np.full(k, math.sqrt(self._ln_pow), dtype=np.float64)
         self._max_model = np.full(k, -math.inf, dtype=np.float64)
@@ -403,20 +395,21 @@ class DpTsUcbPolicy(Policy):
 
     def arm_state(self, arm: int) -> ArmState:
         """Inspection snapshot of one arm's bookkeeping."""
+        size = int(self._size[arm])
         return ArmState(
-            n=1 << (self._epoch[arm] - 1),
+            n=size >> 1,
             mu_hat=float(self._mu_hat[arm]),
-            epoch=self._epoch[arm],
-            unprocessed=self._unprocessed[arm],
-            budget=max(0, self._expiry[arm] - self._rounds),
+            epoch=size.bit_length() - 1,
+            unprocessed=int(self._unprocessed[arm]),
+            budget=max(0, int(self._expiry[arm]) - self._rounds),
             max_model=float(self._max_model[arm]),
-            pending_sum=self._pending[arm],
+            pending_sum=float(self._pending[arm]),
             fresh_draws=self._closed_draws[arm] + self._epoch_draws(arm),
         )
 
     def _epoch_draws(self, arm: int) -> int:
         """Fresh draws the arm has made in its current epoch."""
-        expiry = self._expiry[arm]
+        expiry = int(self._expiry[arm])
         return min(self._rounds, expiry) - (expiry - self.phi)
 
     def _round(self, t: int) -> int:
@@ -432,16 +425,29 @@ class DpTsUcbPolicy(Policy):
 
     def _refresh(self) -> None:
         """Rebuild the live-arm cache for the current round count."""
-        expiry = np.array(self._expiry)
-        is_live = expiry > self._rounds
+        is_live = self._expiry > self._rounds
         self._live = np.flatnonzero(is_live)
-        self._stale_at = int(expiry[is_live].min()) if len(self._live) else math.inf
+        self._stale_at = int(self._expiry[is_live].min()) if len(self._live) else math.inf
         self._live_loc = self._mu_hat[self._live]
         self._live_scale = self._scale[self._live]
         np.copyto(self._theta, self._max_model)
         maxes = np.where(is_live, -math.inf, self._max_model)
         self._best = int(maxes.argmax())
         self._top = float(maxes[self._best])
+
+    def _close(self, arm: int) -> None:
+        """Close the arm's epoch, whose 2^r rewards are all in: the pending
+        mean becomes the estimate, the budget refills from this round and
+        the epoch max resets."""
+        size = int(self._size[arm])
+        self._mu_hat[arm] = self._pending[arm] / size
+        self._scale[arm] = math.sqrt(self._ln_pow / size)
+        self._max_model[arm] = -math.inf
+        self._pending[arm] = 0.0
+        self._unprocessed[arm] = 0
+        self._size[arm] = 2 * size
+        self._closed_draws[arm] += self._epoch_draws(arm)
+        self._expiry[arm] = self._rounds + self.phi
 
     def play(self, t0: int, uniforms: np.ndarray, means) -> np.ndarray:
         n, k = len(uniforms), self.n_arms
@@ -452,22 +458,15 @@ class DpTsUcbPolicy(Policy):
         # the carried variates, the next unused one, and (the generator's
         # state before the last refill, where that refill starts)
         normals, used, refill = np.empty(0), 0, None
-        epoch, unprocessed, pending = self._epoch, self._unprocessed, self._pending
         while i < n:
-            # a stretch: the live set, its draw arguments and the best reused
-            # max hold until an epoch closes or a budget runs out
+            # a stretch: the live set and the best reused max hold until a
+            # budget runs out or a spent arm comes back live
             if self._rounds >= self._stale_at:
                 self._refresh()
             live_arms, loc, scale = self._live, self._live_loc, self._live_scale
             live, best, top = len(live_arms), self._best, self._top
-            candidates = live_arms.tolist() if live == k else live_arms.tolist() + [best]
-            # rewards each candidate still needs to close its epoch; no other
-            # arm is pulled
-            left = np.full(k, n + 1)
-            left[candidates] = [(1 << epoch[arm]) - unprocessed[arm] for arm in candidates]
             maxima = self._max_model[live_arms]
-            start, closed = i, False
-            while not (closed or i == n or self._rounds >= self._stale_at):
+            while i < n and self._rounds < self._stale_at:
                 m = min(n - i, self._stale_at - self._rounds)
                 if live:
                     if len(normals) - used < live:  # keep the leftover, shorter than a row
@@ -484,32 +483,38 @@ class DpTsUcbPolicy(Policy):
                 else:
                     pulled = np.full(m, best)
                 counts = np.bincount(pulled, minlength=k)
+                left = self._size - self._unprocessed  # rewards each arm needs to close its epoch
                 reached = counts >= left
-                if reached.any():  # cut after the first round that closes an epoch
+                closed = reached.any()
+                if closed:  # cut after the first round that closes an epoch
                     m = 1 + min(int((pulled == arm).nonzero()[0][left[arm] - 1])
                                 for arm in reached.nonzero()[0].tolist())
-                    closed = True
-                else:
-                    left -= counts
+                    pulled = pulled[:m]
+                    counts = np.bincount(pulled, minlength=k)
+                self._unprocessed += counts
+                self._pending += np.bincount(
+                    pulled, weights=uniforms[i:i + m] < means[pulled], minlength=k)
                 if live:
                     np.maximum(maxima, models[:m].max(axis=0), out=maxima)
                     last = models[m - 1]
                     used += m * live
-                arms[i:i + m] = pulled[:m]
+                arms[i:i + m] = pulled
                 i += m
                 self._rounds += m
-            paid = uniforms[start:i] < means[arms[start:i]]
-            settled = arms[start:i - closed]  # a closing round goes through update
-            counts = np.bincount(settled, minlength=k).tolist()
-            sums = np.bincount(settled, weights=paid[:len(settled)], minlength=k).tolist()
-            for arm in candidates:
-                unprocessed[arm] += counts[arm]
-                pending[arm] += sums[arm]
+                if closed:
+                    # a live arm's budget lasts to _stale_at at least; a spent
+                    # arm's ran out before this stretch
+                    arm = int(pulled[-1])
+                    was_live = self._expiry[arm] >= self._rounds
+                    self._close(arm)
+                    if was_live:  # the live set stands: rewrite the arm's entries in place
+                        j = live_arms.searchsorted(arm)
+                        loc[j], scale[j], maxima[j] = self._mu_hat[arm], self._scale[arm], -math.inf
+                    else:  # a spent arm comes back live
+                        self._stale_at = self._rounds
             if live:
                 self._max_model[live_arms] = maxima
                 self._theta[live_arms] = last
-            if closed:
-                self.update(int(arms[i - 1]), 1.0 if paid[-1] else 0.0)
         if refill is not None and used < len(normals):  # a used-up refill left rng in place
             state, fresh_at = refill
             rng.bit_generator.state = state
@@ -518,24 +523,14 @@ class DpTsUcbPolicy(Policy):
 
     def update(self, arm: int, reward: float) -> None:
         if self._init_cursor < self._init_rounds:
-            self._observe(arm, reward)  # the single round-robin pull seeds mu_hat, n=1
+            self._init_cursor += 1
+            self._store(arm, 1, reward)  # the single round-robin pull seeds mu_hat, n=1
             return
-        unprocessed = self._unprocessed[arm] + 1
-        pending = self._pending[arm] + reward
-        size = 1 << self._epoch[arm]
-        if unprocessed < size:
-            self._unprocessed[arm] = unprocessed
-            self._pending[arm] = pending
-            return
-        self._mu_hat[arm] = pending / size
-        self._scale[arm] = math.sqrt(self._ln_pow / size)
-        self._max_model[arm] = -math.inf
-        self._pending[arm] = 0.0
-        self._unprocessed[arm] = 0
-        self._epoch[arm] += 1
-        self._closed_draws[arm] += self._epoch_draws(arm)
-        self._expiry[arm] = self._rounds + self.phi
-        self._stale_at = self._rounds
+        self._unprocessed[arm] += 1
+        self._pending[arm] += reward
+        if self._unprocessed[arm] == self._size[arm]:
+            self._close(arm)
+            self._stale_at = self._rounds
 
 
 #: A window's first length in rounds, and a leader run's after a cut.
@@ -550,10 +545,10 @@ LONGEST_STRETCH = 4096
 
 class RunningMeanPolicy(Policy):
     """A policy that estimates each arm by the mean s_k / n_k of all its
-    rewards, fed through `_observe`, so that a pull changes only the pulled
-    arm's values.  A subclass writes `_round`, `_counted`, which stores an
-    arm's new count where `_round` reads it, and `_window`, which settles a
-    window of rounds in bulk (see `play`)."""
+    rewards, so that a pull changes only the pulled arm's values.  A
+    subclass writes `_round`, `_counted`, which stores an arm's new count
+    where `_round` reads it, and `_window`, which settles a window of rounds
+    in bulk (see `play`)."""
 
     def __init__(self, n_arms: int, init_rounds: int) -> None:
         super().__init__(n_arms, init_rounds)
@@ -561,7 +556,17 @@ class RunningMeanPolicy(Policy):
         self._rows = self._stretch = LEAD_ROWS
 
     def update(self, arm: int, reward: float) -> None:
-        self._counted(arm, self._observe(arm, reward))
+        """Count one reward off the initialization rounds, if any are left,
+        and add it to the arm's count and sum as `_store` would; inline,
+        since most rounds at many arms come through here."""
+        if self._init_cursor < self._init_rounds:
+            self._init_cursor += 1
+        n = self._counts[arm] + 1
+        s = self._sums[arm] + reward
+        self._counts[arm] = n
+        self._sums[arm] = s
+        self._mu_hat[arm] = s / n
+        self._counted(arm, n)
 
     def _window(self, t: int, uniforms: np.ndarray, means: np.ndarray
                 ) -> tuple[np.ndarray, int, int, bool]:

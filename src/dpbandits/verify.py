@@ -36,8 +36,9 @@ __all__ = [
 ]
 
 MIN_TRIALS = 10**4
-#: numpy draws counts as int64
-MAX_TRIALS = int(np.iinfo(np.int64).max)
+#: numpy's multinomial and binomial counts drift off their law near 1e15
+#: trials and above; at 1e12 they hold
+MAX_TRIALS = 10**12
 
 _TRIAL_STREAM = RngStream(0, (Purpose.TRIAL,))
 

@@ -105,7 +105,7 @@ def test_out_of_range_alpha_is_a_usage_error():
         ["run", "--means", ""],
         ["run", "--means", "0.5,abc"],
         ["run", "--seed", "-1"],
-        ["verify", "--trials", "9223372036854775808"],  # beyond int64
+        ["verify", "--trials", "1000000000001"],  # beyond the cap
     ],
 )
 def test_bad_values_raise_usage_errors(flags):
@@ -342,11 +342,11 @@ def test_verify_closed_form_checks_ignore_the_seed(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_verify_takes_trials_up_to_int64(monkeypatch, capsys):
+def test_verify_takes_trials_up_to_the_cap(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr("dpbandits.cli.default_battery", lambda *a: calls.append(a) or [])
-    assert main(["verify", "--trials", "9223372036854775807", "--checks", "boost"]) == 0
-    assert calls == [(2**63 - 1, 0, ("boost",))]
+    assert main(["verify", "--trials", "1000000000000", "--checks", "boost"]) == 0
+    assert calls == [(10**12, 0, ("boost",))]
 
 
 def test_verify_failure_exits_one(monkeypatch, capsys):
@@ -401,8 +401,8 @@ def test_usage_errors_exit_two(capsys):
     assert main(["run", "--alpha", "1.5"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["verify", "--trials", "100"]) == 2
-    assert main(["verify", "--trials", "9223372036854775808"]) == 2
-    assert "trials must be <= 9223372036854775807" in capsys.readouterr().err
+    assert main(["verify", "--trials", "1000000000001"]) == 2
+    assert "trials must be <= 1000000000000" in capsys.readouterr().err
     assert main(["run", "--preset", "bogus"]) == 2
     assert main(["run", "--policies", "m-ts-gaussian", "--b", "paper",
                  "--alpha", "0.5"]) == 2

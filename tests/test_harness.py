@@ -84,11 +84,11 @@ class AlwaysArm(Policy):
     """Deterministic stub: always pulls one fixed arm after no initialization."""
 
     def __init__(self, n_arms, arm):
-        self.n_arms = n_arms
+        super().__init__(n_arms, 0)
         self.arm = arm
         self.updates = []
 
-    def select(self, t):
+    def _round(self, t):
         return self.arm
 
     def update(self, arm, reward):
@@ -117,7 +117,7 @@ def test_drive_feeds_the_selected_arms_reward_back():
 class Cycle(AlwaysArm):
     """Deterministic stub: pulls arm (t mod K) in round t."""
 
-    def select(self, t):
+    def _round(self, t):
         return t % self.n_arms
 
 
@@ -139,7 +139,7 @@ class RandomArm(AlwaysArm):
         super().__init__(n_arms, None)
         self._rng = np.random.default_rng(seed)
 
-    def select(self, t):
+    def _round(self, t):
         return int(self._rng.integers(self.n_arms))
 
 

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -562,6 +563,45 @@ def test_play_matches_the_reference_with_several_closes_in_one_chunk(alpha):
     closes = _close_rounds(n_arms, horizon, alpha, seed)
     assert max(np.searchsorted(closes, np.array(closes) + chunk) - np.arange(len(closes))) >= 5
     _play_twins(n_arms, horizon, alpha, seed, _random_cuts(horizon, seed, longest=300))
+
+
+def test_play_matches_the_reference_as_budgets_expire_after_in_place_closes():
+    # K=100 at alpha=0 and T=5e4: phi is about 32,900 rounds, so every arm
+    # is live while hundreds of epochs close in place, and then the budgets
+    # of the arms that closed none since run out and the live set shrinks.
+    n_arms, horizon = 100, 50_000
+    blocks = _play_twins(n_arms, horizon, 0.0, 5, range(BLOCK_SIZE, horizon, BLOCK_SIZE))
+    _, first, _ = blocks[0]
+    assert _live(first) == n_arms and sum(s.epoch - 1 for s in first) > 100
+    assert min(_live(states) for _, states, _ in blocks) < n_arms
+
+
+def test_play_rebuilds_the_live_set_only_when_it_changes(monkeypatch):
+    # A live arm's close refills its budget, so the live set stays; play
+    # settles such closes in place, and rebuilds less often than epochs close.
+    rebuilds = []
+    refresh = DpTsUcbPolicy._refresh
+    monkeypatch.setattr(DpTsUcbPolicy, "_refresh",
+                        lambda self: rebuilds.append(self._rounds) or refresh(self))
+    n_arms, horizon, seed = 100, 50_000, 5
+    means, uniforms = _run_inputs(n_arms, horizon, seed)
+    policy = DpTsUcbPolicy(n_arms, horizon, 0.0, RngStream(seed).generator())
+    for start in range(1, horizon + 1, BLOCK_SIZE):
+        policy.play(start, uniforms[start - 1:start - 1 + BLOCK_SIZE], means)
+    closes = sum(policy.arm_state(a).epoch - 1 for a in range(n_arms))
+    assert len(rebuilds) < closes
+
+
+def test_arm_state_holds_python_numbers():
+    # The per-arm epoch state lives in numpy arrays; the snapshot converts it.
+    n_arms, horizon, seed = 12, 3000, 2
+    means, uniforms = _run_inputs(n_arms, horizon, seed)
+    policy = DpTsUcbPolicy(n_arms, horizon, 0.5, RngStream(seed).generator())
+    policy.play(1, uniforms, means)
+    for arm in range(n_arms):
+        state = policy.arm_state(arm)
+        assert [type(getattr(state, f.name)).__name__ for f in fields(state)] == [
+            f.type for f in fields(state)]
 
 
 class StandardNormalSpy:
