@@ -327,35 +327,36 @@ class DpTsUcbPolicy(Policy):
     each round, whether or not it ends up pulled.
 
     Every round draws one variate per live arm (an arm with budget left) from
-    one `rng.normal(loc, scale)` call on arrays, in arm order; a round
-    without a live arm leaves `rng` untouched.  Budgets are not counted down
-    round by round: an arm's budget is `expiry - rounds`, so the live set,
-    its draw arguments and the best reused max are cached, and rebuilt only
-    when the live set changes: a budget runs out, or a spent arm closes its
-    epoch and comes back live.  The epoch size 2^r, the unprocessed count,
-    the pending sum and the expiry are arrays over the arms.
+    one `rng.normal(loc, scale)` call on arrays, in arm order; a round without
+    a live arm leaves `rng` untouched.  An arm's budget is `expiry - rounds`,
+    not counted down round by round.  The epoch size 2^r, the unprocessed
+    count, the pending sum, the expiry, the model scale and the epoch max are
+    arrays over the arms, and `_round` reads the live set and its draw
+    arguments from them every round.
 
-    `select`, `_round` and `update` are the per-round reference; `update`
-    rebuilds the cache after every close.  After the initialization rounds,
-    `play` settles the stretches between two changes of the live set in
-    bulk, whatever its size.  The per-round `rng.normal(loc, scale)` reads
-    the next `live` values of one flat stream of standard normals, whatever
-    the row width, and `z * scale + loc` is bit for bit its result.  So
-    `play` carries that stream in a buffer: a chunk is as many whole rows as
-    the buffer holds, and no more than are left before a budget runs out,
-    and each row's first argmax over the live models and the best reused
-    epoch max is the pull.  With no live arm nothing is drawn and every round
-    pulls that max.  Each chunk adds its pulls and rewards to the unprocessed
-    counts and pending sums.  If an epoch closes inside the chunk, the chunk
-    is cut after that round, and the rows after it stay in the buffer for the
-    next chunk.  A live arm's close writes its new mean, scale and reset max
-    into the cached arrays in place, and the stretch goes on; a spent arm's
-    close ends it.  A buffer holding less than one row is refilled behind
-    that leftover with the values the block's remaining rounds would use at
-    the current width, at most `BLOCK_SIZE` and at least a row, and the
-    generator's state is saved first.  When `play` returns with part of the
-    last refill unused, it restores the state and draws the used part again,
-    so `rng` stands where the per-round path leaves it.
+    `select`, `_round` and `update` are the per-round reference.  After the
+    initialization rounds, `play` settles in bulk the stretches between two
+    changes of the live set, whatever its size: a budget runs out, or a spent
+    arm closes its epoch and comes back live.  `_refresh` builds each stretch's
+    live set, draw arguments and best reused max, and `play` keeps them as
+    locals.  The per-round `rng.normal(loc, scale)` reads the next `live`
+    values of one flat stream of standard normals, whatever the row width, and
+    `z * scale + loc` is bit for bit its result.  So `play` carries that stream
+    in a buffer: a chunk is as many whole rows as the buffer holds, and no
+    more than are left before a budget runs out, and each row's first argmax
+    over the live models and the best reused epoch max is the pull.  With no
+    live arm nothing is drawn and every round pulls that max.  Each chunk adds
+    its pulls and rewards to the unprocessed counts and pending sums.  If an
+    epoch closes inside the chunk, the chunk is cut after that round, and the
+    rows after it stay in the buffer for the next chunk.  A live arm's close
+    writes its new mean, scale and reset max into the stretch's arrays in
+    place, and the stretch goes on; a spent arm's close ends it.  A buffer
+    holding less than one row is refilled behind that leftover with the values
+    the block's remaining rounds would use at the current width, at most
+    `BLOCK_SIZE` and at least a row, and the generator's state is saved
+    first.  When `play` returns with part of the last refill unused, it
+    restores the state and draws the used part again, so `rng` stands where
+    the per-round path leaves it.
 
     `play` needs `standard_normal` and `bit_generator` of a real
     `np.random.Generator`; the per-round path needs only `normal(loc, scale)`.
@@ -384,14 +385,6 @@ class DpTsUcbPolicy(Policy):
         self._closed_draws = [0] * k  # fresh draws of the arm's closed epochs
         self._scale = np.full(k, math.sqrt(self._ln_pow), dtype=np.float64)
         self._max_model = np.full(k, -math.inf, dtype=np.float64)
-        # The live-arm cache, rebuilt by _refresh once _rounds reaches
-        # _stale_at: the live arms in arm order, their normal() arguments, and
-        # (_best, _top), the first argmax of the other arms' epoch maxima.
-        # _theta holds the epoch max of every arm that does not draw.
-        self._stale_at = 0
-        self._live = np.empty(0, dtype=np.intp)
-        self._live_loc = self._live_scale = self._mu_hat[:0]
-        self._best, self._top = -1, -math.inf
 
     def arm_state(self, arm: int) -> ArmState:
         """Inspection snapshot of one arm's bookkeeping."""
@@ -413,27 +406,26 @@ class DpTsUcbPolicy(Policy):
         return min(self._rounds, expiry) - (expiry - self.phi)
 
     def _round(self, t: int) -> int:
-        if self._rounds >= self._stale_at:
-            self._refresh()
+        live = np.flatnonzero(self._expiry > self._rounds)
         self._rounds += 1
-        if not len(self._live):
-            return self._best  # _theta holds every arm's epoch max
         theta = self._theta
-        theta[self._live] = self._rng.normal(self._live_loc, self._live_scale)
-        np.maximum(self._max_model, theta, out=self._max_model)
+        np.copyto(theta, self._max_model)  # an arm that does not draw reuses its epoch max
+        if len(live):
+            theta[live] = self._rng.normal(self._mu_hat[live], self._scale[live])
+            np.maximum(self._max_model, theta, out=self._max_model)
         return int(theta.argmax())
 
-    def _refresh(self) -> None:
-        """Rebuild the live-arm cache for the current round count."""
+    def _refresh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | float, int, float]:
+        """The live set at the current round count: the live arms in arm
+        order, their normal() arguments, the round count at which the first
+        of their budgets runs out, and the first argmax of the other arms'
+        epoch maxima with its value."""
         is_live = self._expiry > self._rounds
-        self._live = np.flatnonzero(is_live)
-        self._stale_at = int(self._expiry[is_live].min()) if len(self._live) else math.inf
-        self._live_loc = self._mu_hat[self._live]
-        self._live_scale = self._scale[self._live]
-        np.copyto(self._theta, self._max_model)
+        live = np.flatnonzero(is_live)
+        stale_at = int(self._expiry[live].min()) if len(live) else math.inf
         maxes = np.where(is_live, -math.inf, self._max_model)
-        self._best = int(maxes.argmax())
-        self._top = float(maxes[self._best])
+        best = int(maxes.argmax())
+        return live, self._mu_hat[live], self._scale[live], stale_at, best, float(maxes[best])
 
     def _close(self, arm: int) -> None:
         """Close the arm's epoch, whose 2^r rewards are all in: the pending
@@ -461,13 +453,11 @@ class DpTsUcbPolicy(Policy):
         while i < n:
             # a stretch: the live set and the best reused max hold until a
             # budget runs out or a spent arm comes back live
-            if self._rounds >= self._stale_at:
-                self._refresh()
-            live_arms, loc, scale = self._live, self._live_loc, self._live_scale
-            live, best, top = len(live_arms), self._best, self._top
+            live_arms, loc, scale, stale_at, best, top = self._refresh()
+            live = len(live_arms)
             maxima = self._max_model[live_arms]
-            while i < n and self._rounds < self._stale_at:
-                m = min(n - i, self._stale_at - self._rounds)
+            while i < n and self._rounds < stale_at:
+                m = min(n - i, stale_at - self._rounds)
                 if live:
                     if len(normals) - used < live:  # keep the leftover, shorter than a row
                         refill = (rng.bit_generator.state, len(normals) - used)
@@ -496,13 +486,12 @@ class DpTsUcbPolicy(Policy):
                     pulled, weights=uniforms[i:i + m] < means[pulled], minlength=k)
                 if live:
                     np.maximum(maxima, models[:m].max(axis=0), out=maxima)
-                    last = models[m - 1]
                     used += m * live
                 arms[i:i + m] = pulled
                 i += m
                 self._rounds += m
                 if closed:
-                    # a live arm's budget lasts to _stale_at at least; a spent
+                    # a live arm's budget lasts to stale_at at least; a spent
                     # arm's ran out before this stretch
                     arm = int(pulled[-1])
                     was_live = self._expiry[arm] >= self._rounds
@@ -511,10 +500,9 @@ class DpTsUcbPolicy(Policy):
                         j = live_arms.searchsorted(arm)
                         loc[j], scale[j], maxima[j] = self._mu_hat[arm], self._scale[arm], -math.inf
                     else:  # a spent arm comes back live
-                        self._stale_at = self._rounds
+                        stale_at = self._rounds
             if live:
                 self._max_model[live_arms] = maxima
-                self._theta[live_arms] = last
         if refill is not None and used < len(normals):  # a used-up refill left rng in place
             state, fresh_at = refill
             rng.bit_generator.state = state
@@ -530,7 +518,6 @@ class DpTsUcbPolicy(Policy):
         self._pending[arm] += reward
         if self._unprocessed[arm] == self._size[arm]:
             self._close(arm)
-            self._stale_at = self._rounds
 
 
 #: A window's first length in rounds, and a leader run's after a cut.

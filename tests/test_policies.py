@@ -592,6 +592,35 @@ def test_play_rebuilds_the_live_set_only_when_it_changes(monkeypatch):
     assert len(rebuilds) < closes
 
 
+@pytest.mark.parametrize("n_arms, alpha", [(12, 0.5), (2, 1.0)])
+def test_the_per_round_reference_reads_only_the_epoch_state(monkeypatch, n_arms, alpha):
+    # The reference that play's twins are checked against shares nothing
+    # with play's live-set builder: with _refresh broken it still plays
+    # through epoch closes, budget expiries and spent arms coming back live,
+    # and pulls what play pulled before the break.
+    horizon, seed = 3000, 1
+    means, uniforms = _run_inputs(n_arms, horizon, seed)
+    played = DpTsUcbPolicy(n_arms, horizon, alpha, RngStream(seed).generator())
+    arms = played.play(1, uniforms, means)
+
+    def broken(self):
+        raise AssertionError("the per-round reference called _refresh")
+
+    monkeypatch.setattr(DpTsUcbPolicy, "_refresh", broken)
+    counter = NormalOnly(RngStream(seed).generator())
+    policy = PerRound(n_arms, horizon, alpha, counter)
+    live = []
+    for t in range(1, horizon + 1):
+        assert policy.play(t, uniforms[t - 1:t], means)[0] == arms[t - 1], t
+        live.append(_live([policy.arm_state(a) for a in range(n_arms)]))
+    states = [policy.arm_state(a) for a in range(n_arms)]
+    assert states == [played.arm_state(a) for a in range(n_arms)]
+    assert sum(s.fresh_draws for s in states) == counter.draws
+    assert sum(s.epoch - 1 for s in states) > 10
+    assert any(b < a for a, b in zip(live, live[1:]))  # a budget runs out
+    assert any(b > a for a, b in zip(live, live[1:]))  # a spent arm comes back live
+
+
 def test_arm_state_holds_python_numbers():
     # The per-arm epoch state lives in numpy arrays; the snapshot converts it.
     n_arms, horizon, seed = 12, 3000, 2
