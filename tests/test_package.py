@@ -1,11 +1,15 @@
 import inspect
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dpbandits
-from dpbandits import env, harness, policies, privacy, verify
+from dpbandits import cli, env, harness, policies, privacy, verify
 
 #: the package root's exports before it re-exported each module's __all__
 EARLIER_EXPORTS = {
@@ -61,3 +65,26 @@ def test_neither_the_package_nor_the_cli_loads_scipy():
         loaded = _modules_loaded_by(statement)
         assert {"dpbandits", "numpy"} <= loaded
         assert not [name for name in loaded if name.split(".")[0] == "scipy"], statement
+
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def test_the_readme_commands_resolve():
+    blocks = re.findall(r"^```sh\n(.*?)^```", README, re.M | re.S)
+    commands = [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+                if line.startswith("dpbandits ")]
+    assert len(commands) >= 4
+    for argv in commands:
+        try:
+            cli.parse_config(argv)
+        except (cli.UsageError, SystemExit) as exc:  # argparse exits on a bad flag
+            pytest.fail(f"dpbandits {shlex.join(argv)}: {exc!r}")
+
+
+def test_the_readme_names_only_files_that_exist():
+    bench = re.findall(r"BENCH_\d+\.json", README)
+    paths = re.findall(r"`((?:src|tests|benchmarks)/[^`\s]*)`", README)
+    assert bench and paths
+    assert [name for name in (*bench, *paths) if not (ROOT / name).exists()] == []
