@@ -45,6 +45,20 @@ CASES = {
         _RUN_FILES,
         False,
     ),
+    # the K=5 baselines past t = 9170 and 19143, where 2 * np.log(t) is one
+    # ulp off 2 * math.log(t)
+    "baselines-k5": (
+        ["run", "--policies", "ts-gaussian,m-ts-gaussian,ucb1", "--T", "20000", *_RUN],
+        _RUN_FILES,
+        False,
+    ),
+    # K=100 means (2i+1)/200, the many-arms shape
+    "many-arms-k100": (
+        ["run", "--means", ",".join(str((2 * i + 1) / 200) for i in range(100)),
+         "--alpha", "0,1", "--policies", "dp-ts-ucb,ts-gaussian,ucb1", "--T", "5000", *_RUN],
+        _RUN_FILES,
+        False,
+    ),
     "privacy": (
         ["privacy", "--policies", "dp-ts-ucb,ts-gaussian,m-ts-gaussian,ucb1",
          "--alpha", "0,0.5,1", "--T", "100000"],
