@@ -520,14 +520,24 @@ class DpTsUcbPolicy(Policy):
             self._close(arm)
 
 
-#: A window's first length in rounds, and a leader run's after a cut.
+#: A window's first length in rounds, and a Thompson leader run's after a cut.
 LEAD_ROWS = 16
 #: A leader run shorter than this many rounds, and not whole, is a short run.
 SHORT_RUN = 8
-#: A window whose rows switch arms is a short run below this many rows kept.
+#: A window whose rows switch arms, and that keeps fewer rows than it held,
+#: is a short run below this many rows kept.
 SHORT_SETTLE = 64
 #: The longest stretch of rounds sent through Policy.play after short runs.
 LONGEST_STRETCH = 4096
+#: The ulps by which numpy's vectorized log may differ from math.log.
+LOG_ULPS = 4
+#: How close a UCB1 leader's index may come to the best other arm's before a
+#: window decides the row again with math.log.  A UCB1 index
+#: mu + sqrt(2 ln t / n) is below 16 for any t below 2^63; a 2 ln t that is
+#: LOG_ULPS ulps off, and the division, square root and addition that round
+#: after it, move it by less than (LOG_ULPS + 3) ulps of 16, and both sides of
+#: the comparison move.  About 5e-14.
+UCB1_TIE_MARGIN = 2 * (LOG_ULPS + 3) * 16 * 2.0 ** -52
 
 
 class RunningMeanPolicy(Policy):
@@ -568,9 +578,12 @@ class RunningMeanPolicy(Policy):
     def play(self, t0: int, uniforms: np.ndarray, means) -> np.ndarray:
         """The initialization rounds go through `_round_robin`; after them,
         `_window` settles the rounds in windows, and the next window starts
-        at the first row it did not keep.  A window starts at LEAD_ROWS rows,
-        doubles while every row is kept, never holds more than BLOCK_SIZE
-        values, and after a cut starts again at the length `_window` names.
+        at the first row it did not keep.  The first window holds LEAD_ROWS
+        rows, the next twice as many while every row is kept, and none more
+        than BLOCK_SIZE values.  After a cut the next window holds the length
+        `_window` names: UCB1 the length just held, so that a policy whose
+        runs end at its switches does not double up from LEAD_ROWS after
+        each of them, and Thompson sampling the lengths its docstring gives.
 
         Where the pulled arm switches often under the policy's own pulls
         (many arms, tied arms), windows cost more than they settle.  So
@@ -616,21 +629,26 @@ class GaussianThompsonPolicy(RunningMeanPolicy):
     A window (see RunningMeanPolicy.play) takes its rows from the current
     noise block and ends at the block's end; the next block is drawn when a
     round first needs it, as `_round` draws it.  Each row pulls its first
-    argmax under the window's start state, its frozen winner.  A cumsum over
-    those pulls gives every arm's count n and reward sum s before each row;
-    each row is recomputed as z * sqrt(c / n) + s / n, bit for bit what
-    `_round` would write there, and the rows are kept up to the first whose
-    winner changed.  A switch comes from the noise the window already
-    holds, and a pull moves the pulled arm's value by about 1/n, so a frozen
-    winner seldom changes.
+    argmax under the window's start state, its frozen winner.  A pull
+    changes only the pulled arm's value, so only the columns of the frozen
+    winners, p of the K, can differ from the frozen values.  A cumsum over
+    the pulls, (m + 1) rows by p columns, gives those arms' count n and
+    reward sum s before each row; their columns are recomputed as
+    sqrt(c / n) * z + s / n, bit for bit what `_round` would write there,
+    and written over the frozen values, and the rows are kept up to the
+    first whose argmax changed.  A switch comes from the noise the window
+    already holds, and a pull moves the pulled arm's value by about 1/n, so
+    a frozen winner seldom changes.
 
     A window whose frozen rows all pick one arm is judged as a leader run:
     it is short when it keeps fewer than SHORT_RUN rows and not all of them,
     and after a cut the next window starts at LEAD_ROWS rows.  Any other
     window costs about as much as a few dozen rounds of the select/update
     loop however many rows it keeps, so it is short when it keeps fewer than
-    SHORT_SETTLE rows, and after a cut the next starts at twice the rows
-    kept."""
+    SHORT_SETTLE rows and not all of them, and after a cut the next starts
+    at twice the rows kept.  A window that keeps every row is never short:
+    at K = 100 a window holds at most BLOCK_SIZE // K = 40 rows, fewer than
+    SHORT_SETTLE."""
 
     def __init__(self, n_arms: int, rng: np.random.Generator, b: int = 0, c: float = 1.0) -> None:
         super().__init__(n_arms, (int(b) + 1) * int(n_arms))
@@ -661,49 +679,58 @@ class GaussianThompsonPolicy(RunningMeanPolicy):
             self._noise = self._rng.standard_normal((self._block_rows, self.n_arms))
             self._row = 0
         z = self._noise[self._row:self._row + len(uniforms)]
-        k, m = self.n_arms, len(z)
+        m = len(z)
         values = z * self._scale
         values += self._mu_hat
         winners = values.argmax(axis=1)
-        # every arm's count and reward sum before row j, in row j; row m
-        # holds them after the last row
+        # the frozen winners, and each row's winner as a column among them
+        pulled = np.flatnonzero(np.bincount(winners, minlength=self.n_arms))
+        column = pulled.searchsorted(winners)
+        # the pulled arms' counts and reward sums before row j, in row j;
+        # row m holds them after the last row
         rows = np.arange(1, m + 1)
-        ns = np.zeros((m + 1, k), dtype=np.intp)
-        ns[0] = self._counts
-        ns[rows, winners] = 1
+        ns = np.zeros((m + 1, len(pulled)), dtype=np.intp)
+        ns[0] = [self._counts[arm] for arm in pulled.tolist()]
+        ns[rows, column] = 1
         np.cumsum(ns, axis=0, out=ns)
-        sums = np.zeros((m + 1, k))
-        sums[0] = self._sums
-        sums[rows, winners] = uniforms[:m] < means[winners]
+        sums = np.zeros((m + 1, len(pulled)))
+        sums[0] = [self._sums[arm] for arm in pulled.tolist()]
+        sums[rows, column] = uniforms[:m] < means[winners]
         np.cumsum(sums, axis=0, out=sums)
-        values = np.sqrt(self.c / ns[:m]) * z
-        values += sums[:m] / ns[:m]
+        # a pull changes only the pulled arm's value
+        changed = np.sqrt(self.c / ns[:m]) * z[:, pulled]
+        changed += sums[:m] / ns[:m]
+        values[:, pulled] = changed
         # row 0 always stands, so argmax finds the first changed row, if any
         kept = int((values.argmax(axis=1) != winners).argmax()) or m
-        pulled = np.flatnonzero(ns[kept] - ns[0])
-        for arm, n, total in zip(pulled.tolist(), ns[kept, pulled].tolist(),
-                                 sums[kept, pulled].tolist()):
+        for arm, n, total in zip(pulled.tolist(), ns[kept].tolist(), sums[kept].tolist()):
             self._store(arm, n, total)
         self._row += kept
-        if (winners == winners[0]).all():
+        if len(pulled) == 1:
             return winners[:kept], m, LEAD_ROWS, kept < min(m, SHORT_RUN)
-        return winners[:kept], m, max(LEAD_ROWS, 2 * kept), kept < SHORT_SETTLE
+        return winners[:kept], m, max(LEAD_ROWS, 2 * kept), kept < min(m, SHORT_SETTLE)
 
 
 class Ucb1Policy(RunningMeanPolicy):
     """UCB1: pull argmax of mu_hat_i + sqrt(2 ln t / n_i) after one pull each.
 
     A window (see RunningMeanPolicy.play) is a leader run.  Its rows'
-    indexes are built once under the current counts, with 2 ln t taken per
-    round by `math.log`, as `_round` takes it: numpy's vectorized log does
-    not always round the same way.  Row 0's first argmax is the pull, the
-    leader.  A pull changes only the pulled arm's index, so the other arms'
-    indexes stay fixed while the leader keeps winning, and its own comes
-    from its count and the cumsum of the rewards it is paid.  It keeps row j
-    while its index is above the best arm before it and at least the best
-    arm after it, which is numpy's first-argmax rule.  The run is short when
-    it keeps fewer than SHORT_RUN rows and not all of them, and after a cut
-    the next window starts at LEAD_ROWS rows.  A UCB1 switch comes from its own
+    indexes are built once under the current counts, arm by arm as a
+    (K, m) array.  Row 0 takes 2 ln t from `math.log`, as `_round` does, so
+    its first argmax, the pull, is the leader exactly.  The later rows take
+    2 ln t from numpy's vectorized log, which may round an ulp or so away
+    from `math.log` (at t = 9170 and 19143, among others).  A pull changes
+    only the pulled arm's index, so the other arms' indexes stay fixed while
+    the leader keeps winning, and its own comes from its count and the
+    cumsum of the rewards it is paid.  Row j stands while the leader's
+    index is above the best arm before it and at least the best arm after
+    it, which is numpy's first-argmax rule.  Where the leader's index is
+    more than UCB1_TIE_MARGIN above or below the best other arm's, the
+    vectorized log cannot change that outcome; a row within the margin is
+    decided again as `_round` would decide it, with `math.log`, and the run
+    goes on if it stands.  The run is short when it keeps fewer than
+    SHORT_RUN rows and not all of them, and after a cut the next window
+    holds as many rows as this one.  A UCB1 switch comes from its own
     state, as a pulled leader's index drops, so a row frozen before that
     pull seldom stands after it, and Thompson's pass over switching rows
     would not pay here."""
@@ -724,23 +751,41 @@ class Ucb1Policy(RunningMeanPolicy):
     def _window(self, t: int, uniforms: np.ndarray, means: np.ndarray
                 ) -> tuple[np.ndarray, int, int, bool]:
         m = len(uniforms)
-        twolog = np.array([2.0 * math.log(s) for s in range(t, t + m)])
-        values = np.divide.outer(twolog, self._n)
+        twolog = np.log(np.arange(t, t + m, dtype=np.float64))
+        twolog *= 2.0
+        twolog[0] = 2.0 * math.log(t)
+        # the indexes arm by arm, row by row
+        values = twolog / self._n[:, None]
         np.sqrt(values, out=values)
-        values += self._mu_hat
-        leader = int(values[0].argmax())
-        # the best index before and after the leader's column, per row
-        lo = values[:, :leader].max(axis=1, initial=-math.inf)
-        hi = values[:, leader + 1:].max(axis=1, initial=-math.inf)
+        values += self._mu_hat[:, None]
+        leader = int(values[:, 0].argmax())
+        values[leader] = -math.inf
+        rest = np.maximum.reduce(values[:, 1:], axis=0)  # the best other index, per row
         # the leader's count and reward sum after each row, and its index
-        # in the next row
+        # in the next row less the best other arm's
         n = self._counts[leader] + np.arange(1, m + 1)
         sums = self._sums[leader] + np.cumsum(uniforms < means[leader])
-        index = np.sqrt(twolog[1:] / n[:-1]) + sums[:-1] / n[:-1]
-        # row 0 always stands; the run ends at the first row that does not
-        run = 1 + int(np.append((index > lo[1:]) & (index >= hi[1:]), False).argmin())
+        gap = np.sqrt(twolog[1:] / n[:-1]) + sums[:-1] / n[:-1] - rest
+        # row 0 always stands; the rows that may end the run are those cut
+        # or within the margin, and the window's end
+        ends = np.append(gap <= UCB1_TIE_MARGIN, True)
+        run = 1 + int(ends.argmax())
+        while run < m and gap[run - 1] >= -UCB1_TIE_MARGIN and self._leads(
+                leader, t + run, int(n[run - 1]), float(sums[run - 1])):
+            run += 1 + int(ends[run:].argmax())
         self._store(leader, int(n[run - 1]), float(sums[run - 1]))
-        return np.full(run, leader), m, LEAD_ROWS, run < min(m, SHORT_RUN)
+        return np.full(run, leader), m, m, run < min(m, SHORT_RUN)
+
+    def _leads(self, leader: int, t: int, n: int, s: float) -> bool:
+        """Whether round t pulls `leader` after its count and reward sum
+        grow to n and s, the other arms standing; 2 ln t by `math.log`, as
+        `_round` takes it."""
+        twolog = 2.0 * math.log(t)
+        index = np.divide(twolog, self._n)
+        np.sqrt(index, out=index)
+        index += self._mu_hat
+        index[leader] = math.sqrt(twolog / n) + s / n
+        return int(index.argmax()) == leader
 
 
 def make_policy(config: PolicyConfig, n_arms: int, rng: np.random.Generator) -> Policy:

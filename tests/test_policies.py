@@ -1195,39 +1195,118 @@ def test_a_leader_tied_by_a_later_arm_keeps_the_round_inside_its_window(monkeypa
     assert runs[0][0].tolist() == [0, 0, 0] and arms.tolist()[:4] == [0, 0, 0, 1]
 
 
-class SumsSpy(np.ndarray):
-    """An array view that keeps a copy of every ufunc result it takes part
-    in: as a policy's `_mu_hat`, the index values it is added into."""
+def _nudged_log(ulps):
+    """np.log with every value moved `ulps` ulps up (or down, if negative)."""
+    log, toward = np.log, math.copysign(math.inf, ulps)
 
-    sums: list
+    def nudged(x, *args, **kwargs):
+        y = log(x, *args, **kwargs)
+        for _ in range(abs(ulps)):
+            y = np.nextafter(y, toward)
+        return y
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        inputs = [np.asarray(x) for x in inputs]
-        if "out" in kwargs:
-            kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
-        result = getattr(ufunc, method)(*inputs, **kwargs)
-        self.sums.append(np.array(result))
+    return nudged
+
+
+NUDGES = [-4, -2, -1, 1, 2, 4]
+
+
+@pytest.mark.parametrize("ulps", NUDGES)
+def test_ucb1_play_matches_the_reference_under_a_nudged_vectorized_log(monkeypatch, ulps):
+    # A window takes 2 ln t for its rows after the first from numpy's
+    # vectorized log, which may round differently from math.log.  Moved a
+    # few ulps either way, it leaves every pull, count and sum of near-tied
+    # and exactly tied arms where the per-round twin leaves them.
+    monkeypatch.setattr(np, "log", _nudged_log(ulps))
+    for seed, means in enumerate([(0.5, 0.5), (0.5, 0.49, 0.5), (1.0, 1.0, 1.0)]):
+        _play_baseline_twins("ucb1", means, 20000, seed, _random_cuts(20000, seed, 3000))
+
+
+@pytest.mark.parametrize("leader", [0, 1])
+@pytest.mark.parametrize("ulps", NUDGES)
+def test_a_ucb1_row_tied_under_math_log_is_decided_with_math_log(monkeypatch, ulps, leader):
+    # The leader is paid nothing; at the window's second round, with count
+    # 64 and sum 16, its index ties the other arm's under math.log.  That
+    # arm's sum is chosen for the tie, and its 2^20 pulls leave its index
+    # almost unmoved by 2 ln t, so a nudged log breaks the tie one way or
+    # the other.  As in the per-round twin, arm 0 keeps the tie and goes on
+    # to lose the third round; arm 1 loses the tie.
+    monkeypatch.setattr(np, "log", _nudged_log(ulps))
+    big, other = 2 ** 20, 1 - leader
+    kept = 2 - leader
+    for t in range(9000, 9100, 7):
+        twolog = 2.0 * math.log(t + 1)
+        index = math.sqrt(twolog / 64) + 16 / 64
+        bonus = math.sqrt(twolog / big)
+        mean = index - bonus
+        while bonus + mean != index:
+            mean = math.nextafter(mean, math.inf if bonus + mean < index else -math.inf)
+        policy = Ucb1Policy(2)
+        policy.play(1, np.ones(2), (1.0, 1.0))
+        policy._store(leader, 63, 16.0)
+        policy._store(other, big, mean * big)
+        twin, expected = copy.deepcopy(policy), []
+        for s in range(t, t + 3):
+            expected.append(twin.select(s))
+            twin.update(expected[-1], 0.0)
+        assert expected[:kept] == [leader] * kept and expected[kept] == other
+        pulled, _, _, _ = policy._window(t, np.ones(3), np.zeros(2))
+        assert pulled.tolist() == expected[:kept], t
+
+
+def test_the_ucb1_tie_margin_covers_numpys_log():
+    # The margin assumes numpy's vectorized log within LOG_ULPS ulps of
+    # math.log, and indexes below 16.
+    t = np.arange(1, 2_000_001)
+    exact = np.array([2.0 * math.log(s) for s in t.tolist()])
+    vectorized = 2.0 * np.log(t.astype(np.float64))
+    assert (np.abs(vectorized - exact) <= policies.LOG_ULPS * np.spacing(exact)).all()
+    assert 1.0 + math.sqrt(2.0 * math.log(2.0 ** 63)) < 16.0
+    assert policies.UCB1_TIE_MARGIN == 2 * (policies.LOG_ULPS + 3) * np.spacing(16.0)
+
+
+def _recorded_windows(monkeypatch, cls):
+    """The rows kept by every window of `cls` from now on."""
+    kept, window = [], cls._window
+
+    def recording(policy, *args):
+        result = window(policy, *args)
+        kept.append(len(result[0]))
         return result
 
+    monkeypatch.setattr(cls, "_window", recording)
+    return kept
 
-def test_ucb1_window_rows_are_the_per_round_indexes():
-    # At t = 9170 and 19143, 2.0 * np.log(t) is one ulp off 2.0 * math.log(t)
-    # on some builds; every row a window builds must be the index _round
-    # computes.  Both add the means last, in place.
-    policy = Ucb1Policy(2)
-    for arm, reward in ((0, 1.0), (1, 0.0), (1, 1.0)):
-        policy.update(arm, reward)
-    policy._mu_hat = spy = policy._mu_hat.view(SumsSpy)
-    rows = BLOCK_SIZE // 2
-    for t in range(3, 20000, rows):
-        twin = copy.deepcopy(policy)
-        twin._mu_hat = np.array(spy)
-        spy.sums = []
-        policy._window(t, np.zeros(rows), np.zeros(2))
-        values = spy.sums[0]
-        expected = [twin.select_with_models(t + j)[1] for j in range(rows)]
-        assert values.shape == (rows, 2)
-        assert values.tobytes() == np.array(expected).tobytes(), t
+
+def _driven_arms(policy, means, horizon, seed):
+    """The arms `policy` pulls through the harness's blocks of rounds."""
+    blocks, play = [], policy.play
+    policy.play = lambda *args: blocks.append(play(*args)) or blocks[-1]
+    _drive(policy, BanditInstance(means), horizon, (horizon,), np.random.default_rng(seed))
+    return np.concatenate(blocks), len(blocks)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ucb1_windows_follow_the_switches(monkeypatch, seed):
+    # The paper's five arms at T = 1e5: a window ends at a switch or a
+    # block's end, and a cut keeps the next window as long as the last, so
+    # there are no more windows than switches and blocks together.
+    kept = _recorded_windows(monkeypatch, Ucb1Policy)
+    arms, blocks = _driven_arms(Ucb1Policy(5), (0.95, 0.75, 0.55, 0.35, 0.15), 100_000, seed)
+    assert len(kept) <= len(_switches(arms.tolist())) + blocks
+    assert sum(kept) > 0.9 * len(arms)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_most_rounds_of_a_k100_thompson_run_settle_in_windows(monkeypatch, seed):
+    # K = 100 means (2i+1)/200 at T = 5000: a window holds at most
+    # BLOCK_SIZE // 100 rows, and one that keeps them all is not short, so
+    # most rounds after the initialization settle in windows, not in
+    # Policy.play.
+    kept = _recorded_windows(monkeypatch, GaussianThompsonPolicy)
+    means = tuple((2 * i + 1) / 200 for i in range(100))
+    _driven_arms(GaussianThompsonPolicy(100, RngStream(seed).generator()), means, 5000, seed)
+    assert sum(kept) > (5000 - 100) / 2
 
 
 # ---------------------------------------------------------------------------
