@@ -727,8 +727,8 @@ class Ucb1Policy(RunningMeanPolicy):
     it, which is numpy's first-argmax rule.  Where the leader's index is
     more than UCB1_TIE_MARGIN above or below the best other arm's, the
     vectorized log cannot change that outcome; a row within the margin is
-    decided again as `_round` would decide it, with `math.log`, and the run
-    goes on if it stands.  The run is short when it keeps fewer than
+    decided again by `_round`, with `math.log`, on the state the rows before
+    it leave, and the run goes on if it stands.  The run is short when it keeps fewer than
     SHORT_RUN rows and not all of them, and after a cut the next window
     holds as many rows as this one.  A UCB1 switch comes from its own
     state, as a pulled leader's index drops, so a row frozen before that
@@ -770,22 +770,15 @@ class Ucb1Policy(RunningMeanPolicy):
         # or within the margin, and the window's end
         ends = np.append(gap <= UCB1_TIE_MARGIN, True)
         run = 1 + int(ends.argmax())
-        while run < m and gap[run - 1] >= -UCB1_TIE_MARGIN and self._leads(
-                leader, t + run, int(n[run - 1]), float(sums[run - 1])):
+        while run < m and gap[run - 1] >= -UCB1_TIE_MARGIN:
+            # within the margin: `_round` decides the row, on the state the
+            # rows before it leave
+            self._store(leader, int(n[run - 1]), float(sums[run - 1]))
+            if self._round(t + run) != leader:
+                break
             run += 1 + int(ends[run:].argmax())
         self._store(leader, int(n[run - 1]), float(sums[run - 1]))
         return np.full(run, leader), m, m, run < min(m, SHORT_RUN)
-
-    def _leads(self, leader: int, t: int, n: int, s: float) -> bool:
-        """Whether round t pulls `leader` after its count and reward sum
-        grow to n and s, the other arms standing; 2 ln t by `math.log`, as
-        `_round` takes it."""
-        twolog = 2.0 * math.log(t)
-        index = np.divide(twolog, self._n)
-        np.sqrt(index, out=index)
-        index += self._mu_hat
-        index[leader] = math.sqrt(twolog / n) + s / n
-        return int(index.argmax()) == leader
 
 
 def make_policy(config: PolicyConfig, n_arms: int, rng: np.random.Generator) -> Policy:
