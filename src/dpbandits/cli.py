@@ -233,6 +233,8 @@ def _resolve(command: str, items: dict[str, str]) -> CliConfig:
         checks = BATTERY_CHECKS
     else:
         checks = tuple(p.strip() for p in raw_checks.split(",") if p.strip())
+        if not checks:
+            raise UsageError("checks must be 'all' or name at least one check")
         for name in checks:
             if name not in BATTERY_CHECKS:
                 raise UsageError(f"unknown check {name!r}; valid: {list(BATTERY_CHECKS)}")

@@ -71,6 +71,10 @@ class ExperimentSpec:
                     f"experiment runs to {self.horizon}"
                 )
             cfg.validate_for(self.instance.n_arms)
+        labels = [cfg.label() for cfg in policies]
+        for j, label in enumerate(labels):
+            if label in labels[:j]:  # their rows could not be told apart
+                raise ValueError(f"two policies share the label {label}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
         object.__setattr__(self, "policies", policies)

@@ -520,15 +520,10 @@ class DpTsUcbPolicy(Policy):
             self._close(arm)
 
 
-#: A window's first length in rounds, and a Thompson leader run's after a cut.
+#: A baseline window's first length in rows, and its short threshold: a
+#: window that keeps fewer rows than this, and fewer than it held, is a
+#: short run (see RunningMeanPolicy.play).
 LEAD_ROWS = 16
-#: A leader run shorter than this many rounds, and not whole, is a short run.
-SHORT_RUN = 8
-#: A window whose rows switch arms, and that keeps fewer rows than it held,
-#: is a short run below this many rows kept.
-SHORT_SETTLE = 64
-#: The longest stretch of rounds sent through Policy.play after short runs.
-LONGEST_STRETCH = 4096
 #: The ulps by which numpy's vectorized log may differ from math.log.
 LOG_ULPS = 4
 #: How close a UCB1 leader's index may come to the best other arm's before a
@@ -566,33 +561,38 @@ class RunningMeanPolicy(Policy):
         self._counted(arm, n)
 
     def _window(self, t: int, uniforms: np.ndarray, means: np.ndarray
-                ) -> tuple[np.ndarray, int, int, bool]:
+                ) -> tuple[np.ndarray, int]:
         """Settle a prefix of rounds t, t + 1, ..., one per reward uniform,
         where a pull of `arm` is paid `u < means[arm]`, and write the pulled
         arms' counts and sums back through `_store`.  Returns the arms of
-        the rows kept (at least one), the rows the window held (at most one
-        per uniform), the length the next window starts at if it kept fewer,
-        and whether its run was short."""
+        the rows kept (at least one) and the number of rows the window held
+        (at least that many, at most one per uniform)."""
         raise NotImplementedError
 
     def play(self, t0: int, uniforms: np.ndarray, means) -> np.ndarray:
         """The initialization rounds go through `_round_robin`; after them,
         `_window` settles the rounds in windows, and the next window starts
-        at the first row it did not keep.  The first window holds LEAD_ROWS
-        rows, the next twice as many while every row is kept, and none more
-        than BLOCK_SIZE values.  After a cut the next window holds the length
-        `_window` names: UCB1 the length just held, so that a policy whose
-        runs end at its switches does not double up from LEAD_ROWS after
-        each of them, and Thompson sampling the lengths its docstring gives.
+        at the first row it did not keep.  This is the one place that
+        decides how long a window is and when rounds go to the select/update
+        loop instead; `_window` only reports the rows it kept and held.
 
-        Where the pulled arm switches often under the policy's own pulls
-        (many arms, tied arms), windows cost more than they settle.  So
-        after a short run, as `_window` judges it, the next rounds go
-        through Policy.play: LEAD_ROWS of them, twice as many after each
-        further short run, up to LONGEST_STRETCH; a run that is not short
-        starts the count again.  The rule reads only the run lengths the
-        policy sees.  The arms, the state and the generator end where the
-        select/update loop leaves them."""
+        - The first window holds LEAD_ROWS rows.  While a window keeps every
+          row it held, the next holds twice as many rows; after a cut, the
+          next holds as many as this one held, so that a policy whose runs
+          end at its switches does not double up again after each of them.
+          No window holds more than BLOCK_SIZE values.
+        - A window that keeps fewer rows than LEAD_ROWS, and fewer than it
+          held, is a short run.  Where the pulled arm switches often under
+          the policy's own pulls (many arms, tied arms), windows cost more
+          than they settle, so after a short run the next rounds go through
+          Policy.play: LEAD_ROWS of them, twice as many after each further
+          short run, up to BLOCK_SIZE.  A run that is not short starts the
+          count again.
+        - Both lengths are carried from block to block.
+
+        The rule reads only the run lengths the policy sees, so the arms,
+        the state and the generator end where the select/update loop leaves
+        them, whichever rounds it sends where."""
         n, k = len(uniforms), self.n_arms
         arms = np.empty(n, dtype=np.intp)
         mean_of = np.asarray(means, dtype=np.float64)
@@ -600,19 +600,18 @@ class RunningMeanPolicy(Policy):
         widest = max(1, BLOCK_SIZE // k)  # rows of at most BLOCK_SIZE values
         rows, stretch = self._rows, self._stretch
         while i < n:
-            kept, held, cut, short = self._window(
-                t0 + i, uniforms[i:i + min(rows, widest, n - i)], mean_of)
+            kept, held = self._window(t0 + i, uniforms[i:i + min(rows, widest, n - i)], mean_of)
             run = len(kept)
             arms[i:i + run] = kept
             i += run
-            rows = min(2 * rows if run == held else cut, widest)
-            if not short:
+            rows = min(2 * rows if run == held else held, widest)
+            if run >= min(held, LEAD_ROWS):
                 stretch = LEAD_ROWS
             elif i < n:  # a window may end with the block
                 rounds = min(stretch, n - i)
                 arms[i:i + rounds] = Policy.play(self, t0 + i, uniforms[i:i + rounds], means)
                 i += rounds
-                stretch = min(2 * stretch, LONGEST_STRETCH)
+                stretch = min(2 * stretch, BLOCK_SIZE)
         self._rows, self._stretch = rows, stretch
         return arms
 
@@ -638,17 +637,7 @@ class GaussianThompsonPolicy(RunningMeanPolicy):
     and written over the frozen values, and the rows are kept up to the
     first whose argmax changed.  A switch comes from the noise the window
     already holds, and a pull moves the pulled arm's value by about 1/n, so
-    a frozen winner seldom changes.
-
-    A window whose frozen rows all pick one arm is judged as a leader run:
-    it is short when it keeps fewer than SHORT_RUN rows and not all of them,
-    and after a cut the next window starts at LEAD_ROWS rows.  Any other
-    window costs about as much as a few dozen rounds of the select/update
-    loop however many rows it keeps, so it is short when it keeps fewer than
-    SHORT_SETTLE rows and not all of them, and after a cut the next starts
-    at twice the rows kept.  A window that keeps every row is never short:
-    at K = 100 a window holds at most BLOCK_SIZE // K = 40 rows, fewer than
-    SHORT_SETTLE."""
+    a frozen winner seldom changes."""
 
     def __init__(self, n_arms: int, rng: np.random.Generator, b: int = 0, c: float = 1.0) -> None:
         super().__init__(n_arms, (int(b) + 1) * int(n_arms))
@@ -674,7 +663,7 @@ class GaussianThompsonPolicy(RunningMeanPolicy):
         self._scale[arm] = math.sqrt(self.c / n)
 
     def _window(self, t: int, uniforms: np.ndarray, means: np.ndarray
-                ) -> tuple[np.ndarray, int, int, bool]:
+                ) -> tuple[np.ndarray, int]:
         if self._row == self._block_rows:
             self._noise = self._rng.standard_normal((self._block_rows, self.n_arms))
             self._row = 0
@@ -706,9 +695,7 @@ class GaussianThompsonPolicy(RunningMeanPolicy):
         for arm, n, total in zip(pulled.tolist(), ns[kept].tolist(), sums[kept].tolist()):
             self._store(arm, n, total)
         self._row += kept
-        if len(pulled) == 1:
-            return winners[:kept], m, LEAD_ROWS, kept < min(m, SHORT_RUN)
-        return winners[:kept], m, max(LEAD_ROWS, 2 * kept), kept < min(m, SHORT_SETTLE)
+        return winners[:kept], m
 
 
 class Ucb1Policy(RunningMeanPolicy):
@@ -728,12 +715,10 @@ class Ucb1Policy(RunningMeanPolicy):
     more than UCB1_TIE_MARGIN above or below the best other arm's, the
     vectorized log cannot change that outcome; a row within the margin is
     decided again by `_round`, with `math.log`, on the state the rows before
-    it leave, and the run goes on if it stands.  The run is short when it keeps fewer than
-    SHORT_RUN rows and not all of them, and after a cut the next window
-    holds as many rows as this one.  A UCB1 switch comes from its own
-    state, as a pulled leader's index drops, so a row frozen before that
-    pull seldom stands after it, and Thompson's pass over switching rows
-    would not pay here."""
+    it leave, and the run goes on if it stands.  A UCB1 switch comes from
+    its own state, as a pulled leader's index drops, so a row frozen before
+    that pull seldom stands after it, and Thompson's pass over switching
+    rows would not pay here."""
 
     def __init__(self, n_arms: int) -> None:
         super().__init__(n_arms, n_arms)
@@ -749,7 +734,7 @@ class Ucb1Policy(RunningMeanPolicy):
         self._n[arm] = n
 
     def _window(self, t: int, uniforms: np.ndarray, means: np.ndarray
-                ) -> tuple[np.ndarray, int, int, bool]:
+                ) -> tuple[np.ndarray, int]:
         m = len(uniforms)
         twolog = np.log(np.arange(t, t + m, dtype=np.float64))
         twolog *= 2.0
@@ -778,7 +763,7 @@ class Ucb1Policy(RunningMeanPolicy):
                 break
             run += 1 + int(ends[run:].argmax())
         self._store(leader, int(n[run - 1]), float(sums[run - 1]))
-        return np.full(run, leader), m, m, run < min(m, SHORT_RUN)
+        return np.full(run, leader), m
 
 
 def make_policy(config: PolicyConfig, n_arms: int, rng: np.random.Generator) -> Policy:

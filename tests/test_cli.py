@@ -106,6 +106,8 @@ def test_out_of_range_alpha_is_a_usage_error():
         ["run", "--means", "0.5,abc"],
         ["run", "--seed", "-1"],
         ["verify", "--trials", "1000000000001"],  # beyond the cap
+        ["verify", "--checks", ","],
+        ["verify", "--checks", ""],
     ],
 )
 def test_bad_values_raise_usage_errors(flags):
@@ -397,7 +399,7 @@ def test_a_huge_epsilon_gives_a_zero_delta_not_a_traceback(command, tmp_path, ca
     ]
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["run", "--alpha", "1.5"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["verify", "--trials", "100"]) == 2
@@ -407,6 +409,12 @@ def test_usage_errors_exit_two(capsys):
     assert main(["run", "--policies", "m-ts-gaussian", "--b", "paper",
                  "--alpha", "0.5"]) == 2
     capsys.readouterr()
+    # two policies with one label: their rows could not be told apart
+    for argv in (["run", "--policies", "ucb1,ucb1"],
+                 ["privacy", "--policies", "dp-ts-ucb", "--alpha", "0,0"]):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert "share the label" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_argparse_level_errors_exit_two(capsys):

@@ -71,6 +71,8 @@ def test_spec_validation():
         ExperimentSpec(instance=BENCH, policies=(cfg,), horizon=200, n_runs=3)
     with pytest.raises(ValueError):
         ExperimentSpec(instance=BENCH, policies=(cfg,), horizon=100, n_runs=0)
+    with pytest.raises(ValueError, match="share the label"):
+        ExperimentSpec(instance=BENCH, policies=(cfg, cfg), horizon=100, n_runs=3)
     with pytest.raises(ValueError):  # init rounds cannot fit in the horizon
         ExperimentSpec(
             instance=BENCH,

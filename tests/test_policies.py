@@ -991,27 +991,28 @@ def _settled_windows(monkeypatch):
 
     def recording(policy, t, uniforms, means):
         scale, mu_hat = policy._scale.copy(), policy._mu_hat.copy()
-        pulled, rows, cut, short = window(policy, t, uniforms, means)
+        pulled, rows = window(policy, t, uniforms, means)
         kept = len(pulled)
         start = policy._row - kept
         winners = (policy._noise[start:start + rows] * scale + mu_hat).argmax(axis=1)
         if (winners != winners[0]).any():
             windows.append((rows, kept, start + rows == policy._block_rows))
-        return pulled, rows, cut, short
+        return pulled, rows
 
     monkeypatch.setattr(GaussianThompsonPolicy, "_window", recording)
     return windows
 
 
-@pytest.mark.parametrize("short_settle", [0, policies.SHORT_SETTLE])
+@pytest.mark.parametrize("lead_rows", [1, policies.LEAD_ROWS])
 @pytest.mark.parametrize("n_arms", [2, 5, 12, 100])
-def test_settled_windows_match_the_per_round_reference(monkeypatch, n_arms, short_settle):
+def test_settled_windows_match_the_per_round_reference(monkeypatch, n_arms, lead_rows):
     # Tied arms switch often, so the frozen rows of a window pick different
     # arms and their winners change under the window's own pulls: on its
     # second row, on its last row, and in between.  Settled windows run up
     # to the noise block's end, and the next one draws the next block.
-    # SHORT_SETTLE = 0 settles every such window, K = 100's too.
-    monkeypatch.setattr(policies, "SHORT_SETTLE", short_settle)
+    # LEAD_ROWS = 1 never ends a run short, so every window is settled,
+    # K = 100's too.
+    monkeypatch.setattr(policies, "LEAD_ROWS", lead_rows)
     windows = _settled_windows(monkeypatch)
     horizon = 1500 if n_arms == 100 else 3000
     means = (0.5,) * n_arms
@@ -1019,7 +1020,7 @@ def test_settled_windows_match_the_per_round_reference(monkeypatch, n_arms, shor
         for kind, b, c in BASELINES[:2]:
             _play_baseline_twins(kind, means, horizon, seed, _random_cuts(horizon, seed), b, c)
     assert windows
-    if short_settle == 0:
+    if lead_rows == 1:
         assert any(kept == 1 for rows, kept, _ in windows)
         assert any(kept == rows - 1 for rows, kept, _ in windows if rows > 2)
         assert any(kept == rows for rows, kept, at_end in windows if at_end)
@@ -1028,14 +1029,15 @@ def test_settled_windows_match_the_per_round_reference(monkeypatch, n_arms, shor
 @pytest.mark.parametrize("n_arms", [1, 3])
 def test_a_thompson_window_that_keeps_every_row_on_one_arm_is_not_short(n_arms):
     # Arm 0 always pays and the others never do, and at c = 1e-6 their
-    # models lie far apart: every row of a LEAD_ROWS window pulls arm 0 and
-    # stands.  A whole window is never a short run, however few its rows.
+    # models lie far apart: every row of the first window, LEAD_ROWS of
+    # them, pulls arm 0 and stands.  A whole window is not a short run: the
+    # next one holds twice as many rows, and no round went to Policy.play.
     means = np.array((1.0,) + (0.0,) * (n_arms - 1))
     policy = GaussianThompsonPolicy(n_arms, RngStream(0).generator(), b=0, c=1e-6)
     policy.play(1, np.zeros(n_arms), means)
-    pulled, rows, _, short = policy._window(n_arms + 1, np.zeros(policies.LEAD_ROWS), means)
-    assert pulled.tolist() == [0] * policies.LEAD_ROWS and rows == policies.LEAD_ROWS
-    assert policies.LEAD_ROWS < policies.SHORT_SETTLE and not short
+    pulled = policy.play(n_arms + 1, np.zeros(policies.LEAD_ROWS), means)
+    assert pulled.tolist() == [0] * policies.LEAD_ROWS
+    assert (policy._rows, policy._stretch) == (2 * policies.LEAD_ROWS, policies.LEAD_ROWS)
 
 
 class CoarseNormals:
@@ -1055,8 +1057,9 @@ class CoarseNormals:
 @pytest.mark.parametrize("means", [(0.5, 0.5), (0.5, 0.5, 0.5), (0.6, 0.5, 0.5, 0.6)])
 def test_settled_windows_keep_the_first_argmax_through_ties(monkeypatch, means):
     # A row whose winner comes to tie a lower arm changes its winner to
-    # that arm; a tie with a later arm keeps it.
-    monkeypatch.setattr(policies, "SHORT_SETTLE", 0)
+    # that arm; a tie with a later arm keeps it.  LEAD_ROWS = 1 settles
+    # every window.
+    monkeypatch.setattr(policies, "LEAD_ROWS", 1)
     windows = _settled_windows(monkeypatch)
     k = len(means)
     for seed in range(6):
@@ -1150,20 +1153,84 @@ def test_matched_thompson_play_matches_the_reference_when_the_initialization_spa
     _play_baseline_twins("m-ts", means, horizon, 2, _random_cuts(horizon, 2), 2000, 9.0)
 
 
-@pytest.mark.parametrize("lead_rows, short_run, longest", [
-    (1, 0, 1), (2, 1, 2), (3, 100, 5), (1, 2, 3), (16, 8, 1)])
+@pytest.mark.parametrize("lead_rows", [1, 2, 3, 16, 100])
 @pytest.mark.parametrize("block_size", [1, 7, 4096])
 def test_baseline_play_matches_the_reference_with_short_windows_and_backoffs(
-        monkeypatch, lead_rows, short_run, longest, block_size):
-    # short_run=0 never ends a leader run short, 100 always does;
-    # a small BLOCK_SIZE bounds every window and noise block to a few rows.
+        monkeypatch, lead_rows, block_size):
+    # lead_rows=1 never ends a run short, 100 ends most cuts short; a small
+    # BLOCK_SIZE bounds every window, noise block and stretch to a few rows.
     monkeypatch.setattr(policies, "LEAD_ROWS", lead_rows)
-    monkeypatch.setattr(policies, "SHORT_RUN", short_run)
-    monkeypatch.setattr(policies, "LONGEST_STRETCH", longest)
     monkeypatch.setattr(policies, "BLOCK_SIZE", block_size)
     for kind, b, c in BASELINES:
         for means in ((0.7, 0.6, 0.5), (0.5, 0.5)):
             _play_baseline_twins(kind, means, 1500, 4, _random_cuts(1500, 4, longest=200), b, c)
+
+
+class ScriptedWindows(policies.RunningMeanPolicy):
+    """Two arms whose windows keep and hold the rows a script names, with a
+    log of the rows each window was offered and the rounds each stretch of
+    the select/update loop played."""
+
+    def __init__(self, script):
+        super().__init__(2, 0)
+        self.script, self.log = list(script), []
+
+    def _window(self, t, uniforms, means):
+        kept, held = self.script.pop(0)
+        assert kept <= held <= len(uniforms)
+        self.log.append(("window", len(uniforms)))
+        return np.zeros(kept, dtype=np.intp), held
+
+    def _round(self, t):
+        if self.log[-1][0] == "loop":
+            self.log[-1] = ("loop", self.log[-1][1] + 1)
+        else:
+            self.log.append(("loop", 1))
+        return 0
+
+
+def test_play_sizes_windows_and_stretches_from_the_rows_kept_and_held(monkeypatch):
+    # The back-off rule alone: outputs match the reference under any rule,
+    # so this pins the lengths.  Per step: the rows offered to the window,
+    # the rows it keeps and holds, and the rounds then played through
+    # Policy.play.
+    monkeypatch.setattr(policies, "LEAD_ROWS", 4)
+    monkeypatch.setattr(policies, "BLOCK_SIZE", 64)  # windows of at most 32 rows on two arms
+    blocks = [
+        [
+            (4, 4, 4, 0),  # every row kept: the next window holds twice as many
+            (8, 8, 8, 0),
+            (16, 16, 16, 0),
+            (32, 32, 32, 0),  # capped at BLOCK_SIZE values
+            (32, 1, 32, 4),  # a short run: LEAD_ROWS rounds through the loop
+            (32, 2, 6, 8),  # after a cut, the rows held, not twice the rows kept
+            (6, 3, 6, 16),  # each further short run doubles the stretch
+            (6, 1, 2, 32),  # short under min(held, LEAD_ROWS)
+            (2, 1, 2, 64),
+            (2, 1, 2, 64),  # the stretch stops at BLOCK_SIZE
+            (2, 2, 2, 0),  # every row kept is not short, under LEAD_ROWS too
+            (4, 3, 3, 0),  # every row held kept: twice the rows offered
+            (8, 4, 8, 0),  # a cut keeping LEAD_ROWS rows is not short
+            (8, 1, 8, 4),  # so the next short run's stretch starts again
+            (3, 1, 3, 2),  # the block's end cuts the window and the stretch
+        ],
+        [
+            (3, 1, 3, 16),  # the window length and the stretch carry over
+            (3, 3, 3, 0),
+        ],
+    ]
+    policy = ScriptedWindows((kept, held) for block in blocks for _, kept, held, _ in block)
+    t, carried = 1, [(3, 16), (6, 4)]
+    for block, state in zip(blocks, carried):
+        n = sum(kept + loop for _, kept, _, loop in block)
+        policy.log = []
+        policy.play(t, np.ones(n), (0.5, 0.5))
+        expected = []
+        for offered, _, _, loop in block:
+            expected += [("window", offered)] + ([("loop", loop)] if loop else [])
+        assert policy.log == expected
+        assert (policy._rows, policy._stretch) == state
+        t += n
 
 
 @pytest.mark.parametrize("kind, b, c", BASELINES)
@@ -1180,12 +1247,11 @@ def test_baseline_play_regret_at_every_round(kind, b, c):
     assert pulls == reference_pulls
 
 
-def test_a_leader_tied_by_a_later_arm_keeps_the_round_inside_its_window(monkeypatch):
+def test_a_leader_tied_by_a_later_arm_keeps_the_round_inside_its_window():
     # numpy's first argmax gives a tie to the lower index, so the window keeps
     # the leader's run going through a tie with a later arm.  UCB1 on two
     # arms that always pay, with counts 1 and 3: arm 0 leads, ties arm 1 on
     # its third round and loses on its fourth.
-    monkeypatch.setattr(policies, "SHORT_RUN", 0)
     policy = Ucb1Policy(2)
     for arm in (0, 1, 1, 1):
         policy.update(arm, 1.0)
@@ -1250,7 +1316,7 @@ def test_a_ucb1_row_tied_under_math_log_is_decided_with_math_log(monkeypatch, ul
             expected.append(twin.select(s))
             twin.update(expected[-1], 0.0)
         assert expected[:kept] == [leader] * kept and expected[kept] == other
-        pulled, _, _, _ = policy._window(t, np.ones(3), np.zeros(2))
+        pulled, _ = policy._window(t, np.ones(3), np.zeros(2))
         assert pulled.tolist() == expected[:kept], t
 
 
