@@ -1153,17 +1153,20 @@ def test_matched_thompson_play_matches_the_reference_when_the_initialization_spa
     _play_baseline_twins("m-ts", means, horizon, 2, _random_cuts(horizon, 2), 2000, 9.0)
 
 
-@pytest.mark.parametrize("lead_rows", [1, 2, 3, 16, 100])
+@pytest.mark.parametrize("lead_rows, longest_cut", [
+    (1, 200), (1, 3), (2, 200), (3, 200), (16, 200), (100, 200)])
 @pytest.mark.parametrize("block_size", [1, 7, 4096])
 def test_baseline_play_matches_the_reference_with_short_windows_and_backoffs(
-        monkeypatch, lead_rows, block_size):
+        monkeypatch, lead_rows, longest_cut, block_size):
     # lead_rows=1 never ends a run short, 100 ends most cuts short; a small
-    # BLOCK_SIZE bounds every window, noise block and stretch to a few rows.
+    # BLOCK_SIZE bounds every window, noise block and stretch to a few rows,
+    # and longest_cut=3 ends a noise block every round or two.
     monkeypatch.setattr(policies, "LEAD_ROWS", lead_rows)
     monkeypatch.setattr(policies, "BLOCK_SIZE", block_size)
+    cuts = _random_cuts(1500, 4, longest=longest_cut)
     for kind, b, c in BASELINES:
         for means in ((0.7, 0.6, 0.5), (0.5, 0.5)):
-            _play_baseline_twins(kind, means, 1500, 4, _random_cuts(1500, 4, longest=200), b, c)
+            _play_baseline_twins(kind, means, 1500, 4, cuts, b, c)
 
 
 class ScriptedWindows(policies.RunningMeanPolicy):
